@@ -122,8 +122,6 @@ def classify_pos_eqfree(structure: Structure) -> Verdict:
         "eElement": e_hit[0] if e_hit else None,
         "singletonSweep": "exhausted",
     }
-    if a_hit and e_hit:  # unreachable: the fast path is exact for case I
-        return Verdict("InL", evidence)
     if a_hit:
         evidence["eSweep"] = "exhausted"
         return Verdict("NPComplete", evidence)

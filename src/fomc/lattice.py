@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BudgetExceededError
-from .shops import DSM, HyperMap, compose, generate_dsm, identity_shop, render_shop, sub_shops
+from .shops import (DSM, HyperMap, bits, compose, generate_dsm, identity_shop,
+                    render_shop, sub_shops)
 
 MAX_ALL_SHOPS = 5
 MAX_CENSUS = 3
@@ -129,14 +130,14 @@ class _GroundTables:
             if fresh & forbid:
                 return False
             members |= fresh
-            for b in _mask_bits(fresh):
+            for b in bits(fresh):
                 order.append(b)
                 pending.append(b)
             return True
 
         if not add(self.identity):
             return None
-        for i in _mask_bits(mask):
+        for i in bits(mask):
             if not add(i):
                 return None
         while pending:
@@ -155,7 +156,7 @@ class _GroundTables:
         return members
 
     def to_dsm(self, mask: int) -> DSM:
-        return DSM(self.n, tuple(self.ground[i] for i in _mask_bits(mask)))
+        return DSM(self.n, tuple(self.ground[i] for i in bits(mask)))
 
 
 def enumerate_dsms(n: int, bound: int = MAX_CENSUS, force: bool = False) -> list[LatticeNode]:
@@ -203,13 +204,6 @@ def _minimal_generators(dsm: DSM) -> tuple[HyperMap, ...]:
         closed = generate_dsm(generators, dsm.size)
         remaining = [f for f in dsm if f not in closed]
     return tuple(sorted(generators))
-
-
-def _mask_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _next_closure(current: int, N: int, closure) -> int | None:

@@ -139,21 +139,26 @@ def is_sub_shop(f: HyperMap, g: HyperMap) -> bool:
 
 def sub_shops(f: HyperMap) -> Iterator[HyperMap]:
     """All shops that are pointwise-subsets of ``f`` (including ``f``)."""
-    choices = [_nonempty_submasks(m) for m in f.images]
-    for combo in itertools.product(*choices):
+    for combo in itertools.product(*map(submasks, f.images)):
         g = HyperMap(f.source_size, f.target_size, combo)
         if g.is_surjective:
             yield g
 
 
-def _nonempty_submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    out.reverse()
-    return out
+def submasks(mask: int, base: int = 0) -> Iterator[int]:
+    """Yield ``base | s`` for every submask ``s`` of ``mask`` in ascending
+    order, skipping 0; ``base`` must be disjoint from ``mask``.
+
+    With ``base = 0`` these are the nonempty submasks of ``mask``.  The walk
+    is lazy, so a caller that stops early never pays for all 2^|mask| of them.
+    """
+    sub = 0
+    while True:
+        if sub | base:
+            yield sub | base
+        sub = (sub - mask) & mask
+        if not sub:
+            return
 
 
 # -- preservation ------------------------------------------------------------
@@ -289,7 +294,7 @@ def generate_dsm(generators: Iterable[HyperMap], n: int) -> DSM:
         return tab
 
     def raw_sub_shops(images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for combo in itertools.product(*[_nonempty_submasks(m) for m in images]):
+        for combo in itertools.product(*map(submasks, images)):
             covered = 0
             for m in combo:
                 covered |= m
@@ -395,14 +400,22 @@ class _ImageSearch:
         """Search; ``kinds[step]`` is 'subset' or 'singleton'.
 
         ``barrier = (step, mask)`` demands the union of the first ``step``
-        images covers ``mask``.  Returns all hits or the first one.
+        images covers ``mask``; ``step`` is at least 1 and those first steps
+        are 'subset' steps.  Returns all hits or the first one.
+
+        Barrier pruning: before each of the first ``step`` elements, the
+        images still to come can at most cover the union of their allowed
+        masks (computed with unassigned images read as 0, which only
+        loosens them), so a node whose reach misses the barrier is cut.  The
+        last of them tries only the allowed masks that cover the rest of the
+        barrier, in the same ascending order as the unpruned search, so the
+        first hit does not change.
         """
         images = [0] * self.n
         found: list[HyperMap] = []
+        barrier_step, barrier_mask = barrier if barrier is not None else (0, 0)
 
         def rec(step: int, covered: int) -> Optional[HyperMap]:
-            if barrier is not None and step == barrier[0] and covered & barrier[1] != barrier[1]:
-                return None
             if step == len(self.order):
                 if covered == self.full:
                     hit = HyperMap(self.n, self.m, tuple(images))
@@ -415,8 +428,17 @@ class _ImageSearch:
             allowed = self.allowed(step, images)
             if not allowed:
                 return None
-            if kinds[step] == "subset":
-                candidates = _nonempty_submasks(allowed)
+            if step < barrier_step:
+                reach = covered | allowed
+                for later in range(step + 1, barrier_step):
+                    reach |= self.allowed(later, images)
+                if barrier_mask & ~reach:
+                    return None
+            if step == barrier_step - 1:
+                need = barrier_mask & ~covered
+                candidates = submasks(allowed & ~need, need)
+            elif kinds[step] == "subset":
+                candidates = submasks(allowed)
             else:
                 candidates = [1 << b for b in bits(allowed)]
             for cand in candidates:

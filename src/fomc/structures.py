@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FomcError, ParseError, SignatureMismatchError
-from .shops import HyperMap, inverse
+from .shops import HyperMap, _degree_descending
 
 MORPHISM_KINDS = ("homomorphism", "injective", "full", "fullSurjective", "surjectiveHyper")
 
@@ -109,7 +109,15 @@ class Structure:
         return Structure(self.signature, self.size, self.rels, name)
 
     def complement(self) -> "Structure":
-        """Set-theoretic complement of every relation (loops included)."""
+        """Set-theoretic complement of every relation (loops included).
+
+        Built once per structure and then shared: every E-shop and X-total
+        search runs on the complement.
+        """
+        return self._complement
+
+    @cached_property
+    def _complement(self) -> "Structure":
         rels = {}
         for sym, arity in self.signature.symbols:
             universe = set(itertools.product(range(self.size), repeat=arity))
@@ -218,18 +226,9 @@ def find_morphism(source: Structure, target: Structure, kind: str):
     return _find_function_morphism(source, target, injective, full, surjective)
 
 
-def _degree_order(structure: Structure) -> list[int]:
-    degree = [0] * structure.size
-    for _, ts in structure.rels:
-        for t in ts:
-            for a in t:
-                degree[a] += 1
-    return sorted(range(structure.size), key=lambda a: (-degree[a], a))
-
-
 def _find_function_morphism(source: Structure, target: Structure,
                             injective: bool, full: bool, surjective: bool):
-    order = _degree_order(source)
+    order = _degree_descending(source)
     position = {a: i for i, a in enumerate(order)}
     checks: list[list[tuple[str, tuple[int, ...], bool]]] = [[] for _ in order]
     for sym, arity in source.signature.symbols:
@@ -284,7 +283,7 @@ def _find_surjective_hyper(source: Structure, target: Structure) -> Optional[Hyp
     """Backtracking over per-element image sets with forward checking."""
     from .shops import _ImageSearch
 
-    search = _ImageSearch(source, target, _degree_order(source))
+    search = _ImageSearch(source, target, _degree_descending(source))
     return search.run(["subset"] * source.size, collect=False)
 
 
@@ -340,7 +339,7 @@ def are_isomorphic(left: Structure, right: Structure,
     if sorted(left_profiles) != sorted(right_profiles):
         return (False, None) if want_witness else False
 
-    order = _degree_order(left)
+    order = _degree_descending(left)
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
@@ -437,14 +436,6 @@ def closed_under_operation(structure: Structure, op: BooleanOperationTable) -> b
             if result not in ts:
                 return False
     return True
-
-
-# -- hyper-morphism duality helper ----------------------------------------------
-
-def hyper_witness_dual(f: HyperMap) -> HyperMap:
-    """For tests: f witnesses A -> B surjectively-hyper iff inverse(f)
-    witnesses co-B -> co-A."""
-    return inverse(f)
 
 
 # -- text format -----------------------------------------------------------------

@@ -229,6 +229,18 @@ def _profile_holds(f, profile, args, n) -> bool:
     return f.image_of_set(u_mask) == full and all(m & x_mask for m in f.images)
 
 
+_LABELS = {(True, True): "InL", (True, False): "NPComplete",
+           (False, True): "CoNPComplete", (False, False): "PspaceComplete"}
+
+
+def _brute_label(preserving, n) -> str:
+    """The pos-eqfree label read off the preserving shops: an A-shop and an
+    E-shop give L, only an A-shop NP, only an E-shop coNP, neither Pspace."""
+    has_a = any(_profile_holds(f, "A-shop", (u,), n) for f in preserving for u in range(n))
+    has_e = any(_profile_holds(f, "E-shop", (x,), n) for f in preserving for x in range(n))
+    return _LABELS[has_a, has_e]
+
+
 def _profiles_for(n: int, rng) -> list:
     subsets = [frozenset(c) for size in range(1, n + 1)
                for c in itertools.combinations(range(n), size)]
@@ -247,11 +259,16 @@ def _profiles_for(n: int, rng) -> list:
 def test_09_exists_shop_oracle_equivalence():
     with criterion(9, "exists-shop-oracle", 60.0):
         rng = random.Random(99)
-        ground = {n: all_shops(n) for n in (2, 3, 4)}
+        ground = {n: all_shops(n) for n in (1, 2, 3, 4)}
+
+        def check_label(s: Structure) -> list:
+            preserving = [f for f in ground[s.size] if preserves(f, s)]
+            assert classify_pos_eqfree(s).klass == _brute_label(preserving, s.size), s
+            return preserving
 
         def check(s: Structure):
             n = s.size
-            preserving = [f for f in ground[n] if preserves(f, s)]
+            preserving = check_label(s)
             for profile, args in _profiles_for(n, rng):
                 brute = any(_profile_holds(f, profile, args, n) for f in preserving)
                 witness = exists_shop(s, profile, *args)
@@ -266,6 +283,9 @@ def test_09_exists_shop_oracle_equivalence():
             check(random_structure(rng, 3))
         for _ in range(30):
             check(random_structure(rng, 4))
+        for n in (1, 3):
+            for s in all_binary_structures(n):
+                check_label(s)
 
 
 def test_10_duality():

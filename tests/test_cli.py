@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -118,6 +119,22 @@ class TestClassify:
                                "--fragment", "pp", "--json")
         doc = validate(out, "verdict.schema.json")
         assert doc["class"].startswith("open(")
+
+
+    def test_forty_elements_one_edge(self, tmp_path):
+        # listing all 2^40 - 1 image masks of an A-shop element exhausts
+        # memory; only the masks that cover the domain can succeed
+        path = tmp_path / "big.fms"
+        path.write_text("structure big\ndomain 40\nrelation E/2\n0 1\nend\n")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "fomc.cli", "classify", "--structure", str(path),
+             "--fragment", "pos-eqfree", "--json"],
+            capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert validate(proc.stdout, "verdict.schema.json")["class"] == "NP-complete"
+        assert elapsed < 5.0
 
 
 class TestCensus:
