@@ -4,7 +4,7 @@ Subcommands: eval, classify, core, shops, dsm-census, gadget, reduce,
 canonical.  Structures and sentences come from files ('-' reads standard
 input); ``--json`` switches output to the shipped JSON schemas.  Exit codes:
 0 success (or a true sentence), 1 false sentence, 2 usage or input errors,
-3 exceeded budgets.
+3 exceeded budgets, including the recursion limit and memory.
 """
 
 from __future__ import annotations
@@ -304,6 +304,13 @@ def main(argv=None) -> int:
     except (ParseError, FomcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit exceeded)",
+              file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

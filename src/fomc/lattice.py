@@ -3,8 +3,15 @@
 Closed sets are enumerated Next-Closure style over the DSM closure operator,
 walking candidate supersets in lectic order, so the number of closure
 computations stays proportional to the number of DSMs rather than the power
-set of all shops.  Closures themselves run over precomputed composition and
-sub-shop tables indexed by the ground set, as pure bitmask fixpoints.
+set of all shops.  Closures run over composition and sub-shop tables indexed
+by the ground set, as bitmask searches.
+
+Composition is monotone under pointwise containment: if f' <= f and g' <= g
+then g' o f' <= g o f.  So the DSM generated by a set G of shops is the
+down-closure of the monoid that composition alone generates from G, and the
+maximal elements of G alone generate a monoid with the same down-closure.
+A closure is therefore a search from the identity that composes with the
+maximal elements only, folding in the sub-shops of each element it reaches.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BudgetExceededError
-from .shops import (DSM, HyperMap, bits, compose, generate_dsm, identity_shop,
-                    render_shop, sub_shops)
+from .shops import (DSM, HyperMap, bits, generate_dsm, identity_shop,
+                    render_shop, sub_shops, union_table)
 
 MAX_ALL_SHOPS = 5
 MAX_CENSUS = 3
@@ -78,85 +85,97 @@ class LatticeNode:
 
 
 class _GroundTables:
-    """Composition and down-closure tables over the full shop set."""
+    """Composition and down-closure tables over the full shop set.
+
+    Ground shops are indexed in canonical order, in which a strict sub-shop
+    always precedes its parent.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.ground = all_shops(n)
-        self.index = {f: i for i, f in enumerate(self.ground)}
-        self.identity = self.index[identity_shop(n)]
-        N = len(self.ground)
-        # a dense table pays off up to n = 3; beyond that fall back to a
-        # lazy cache so a forced n = 4 run is slow instead of impossible
-        self.dense = N <= 512
-        if self.dense:
-            self.comp = [[self.index[compose(f, g)] for g in self.ground]
-                         for f in self.ground]
-        else:
-            self.comp_cache: dict[tuple[int, int], int] = {}
-        self.sub = [0] * N
+        self.index = {f.images: i for i, f in enumerate(self.ground)}
+        self.identity = self.index[identity_shop(n).images]
+        # full rows pay off up to n = 3; beyond that each row is filled
+        # entry by entry, so a forced n = 4 run is slow instead of impossible
+        self.dense = len(self.ground) <= 512
+        self.rows: dict[int, list[int] | _LazyRow] = {}
+        self.sub = [0] * len(self.ground)
         for i, f in enumerate(self.ground):
             m = 0
             for s in sub_shops(f):
-                m |= 1 << self.index[s]
+                m |= 1 << self.index[s.images]
             self.sub[i] = m
 
-    def comp_index(self, i: int, j: int) -> int:
-        if self.dense:
-            return self.comp[i][j]
-        got = self.comp_cache.get((i, j))
-        if got is None:
-            got = self.index[compose(self.ground[i], self.ground[j])]
-            self.comp_cache[(i, j)] = got
-        return got
+    def row(self, i: int) -> list[int] | _LazyRow:
+        """The composition-table row of ground[i]: ``row(i)[j]`` indexes
+        ground[i] o ground[j].  Built on first use from the union table of
+        ground[i]."""
+        row = self.rows.get(i)
+        if row is None:
+            table = union_table(self.ground[i].images)
+            if self.dense:
+                index = self.index
+                row = [index[tuple(table[m] for m in f.images)] for f in self.ground]
+            else:
+                row = _LazyRow(self, table)
+            self.rows[i] = row
+        return row
 
     def closure(self, mask: int, forbid: int = 0) -> int | None:
         """DSM closure of the indicated ground shops.
+
+        By the monotonicity of composition the closure is the down-closure
+        of the monoid generated by the maximal elements of ``mask``.  The
+        search starts at the identity, folds the sub-shops ``sub[h]`` of
+        each element h it reaches into the members, and composes h with
+        every maximal element; an element already among the members lies
+        below one that was reached before, so it is not expanded again.
 
         Aborts with None as soon as a shop indexed inside ``forbid`` would be
         added; lectic-order candidate rejection relies on this, and the
         sub-shop down-closure (whose members sort below their parent) makes
         most rejections immediate.
         """
+        sub = self.sub
+        rows = []
+        while mask:  # the top index left is maximal: parents sort above
+            top = mask.bit_length() - 1
+            rows.append(self.row(top))
+            mask &= ~sub[top]
         members = 0
-        order: list[int] = []
-        pending: list[int] = []
-
-        def add(i: int) -> bool:
-            nonlocal members
-            fresh = self.sub[i] & ~members
-            if not fresh:
-                return True
-            if fresh & forbid:
-                return False
-            members |= fresh
-            for b in bits(fresh):
-                order.append(b)
-                pending.append(b)
-            return True
-
-        if not add(self.identity):
-            return None
-        for i in bits(mask):
-            if not add(i):
-                return None
+        pending = [self.identity]
         while pending:
-            i = pending.pop()
-            row = self.comp[i] if self.dense else None
-            k = 0
-            while k < len(order):
-                j = order[k]
-                k += 1
-                left = row[j] if row is not None else self.comp_index(i, j)
-                if not members >> left & 1 and not add(left):
-                    return None
-                right = self.comp[j][i] if self.dense else self.comp_index(j, i)
-                if not members >> right & 1 and not add(right):
-                    return None
+            h = pending.pop()
+            if members >> h & 1:
+                continue
+            fresh = sub[h] & ~members
+            if fresh & forbid:
+                return None
+            members |= fresh
+            for row in rows:
+                k = row[h]
+                if not members >> k & 1:
+                    pending.append(k)
         return members
 
     def to_dsm(self, mask: int) -> DSM:
         return DSM(self.n, tuple(self.ground[i] for i in bits(mask)))
+
+
+class _LazyRow(dict):
+    """A composition-table row whose entries are computed on first use."""
+
+    def __init__(self, tables: _GroundTables, table: list[int]):
+        super().__init__()
+        self.tables = tables
+        self.table = table
+
+    def __missing__(self, j: int) -> int:
+        table = self.table
+        images = tuple(table[m] for m in self.tables.ground[j].images)
+        got = self[j] = self.tables.index[images]
+        return got
 
 
 def enumerate_dsms(n: int, bound: int = MAX_CENSUS, force: bool = False) -> list[LatticeNode]:
@@ -176,12 +195,13 @@ def enumerate_dsms(n: int, bound: int = MAX_CENSUS, force: bool = False) -> list
         closed_sets.append(nxt)
         current = nxt
 
+    masks = sorted(closed_sets, key=lambda m: (m.bit_count(), m))
     nodes: list[LatticeNode] = []
-    for idx, mask in enumerate(sorted(closed_sets, key=lambda m: (m.bit_count(), m))):
+    for idx, mask in enumerate(masks):
         dsm = tables.to_dsm(mask)
         nodes.append(LatticeNode(idx, dsm, _minimal_generators(dsm),
                                  dsm_complexity_tag(dsm)))
-    _attach_covers(nodes)
+    _attach_covers(nodes, masks)
     return nodes
 
 
@@ -220,14 +240,17 @@ def _next_closure(current: int, N: int, closure) -> int | None:
     return None
 
 
-def _attach_covers(nodes: list[LatticeNode]) -> None:
-    sets = [frozenset(node.dsm.as_set()) for node in nodes]
+def _attach_covers(nodes: list[LatticeNode], masks: list[int]) -> None:
+    """Cover edges from the ground-set masks of the nodes, which are sorted
+    by size.  Walking the strict subsets of a node from the largest down,
+    a subset is covered by the node iff it lies below none of the covers
+    already found."""
     for i, node in enumerate(nodes):
-        below = [j for j in range(len(nodes))
-                 if j != i and sets[j] < sets[i]]
-        covers = []
-        for j in below:
-            if not any(sets[j] < sets[k] < sets[i] for k in below):
+        top = masks[i]
+        covers: list[int] = []
+        for j in range(i - 1, -1, -1):
+            m = masks[j]
+            if m & ~top == 0 and all(m & ~masks[c] for c in covers):
                 covers.append(j)
         node.covers = tuple(sorted(covers))
 

@@ -139,10 +139,32 @@ def is_sub_shop(f: HyperMap, g: HyperMap) -> bool:
 
 def sub_shops(f: HyperMap) -> Iterator[HyperMap]:
     """All shops that are pointwise-subsets of ``f`` (including ``f``)."""
-    for combo in itertools.product(*map(submasks, f.images)):
-        g = HyperMap(f.source_size, f.target_size, combo)
-        if g.is_surjective:
-            yield g
+    for images in _sub_images(f.images, (1 << f.target_size) - 1):
+        yield HyperMap(f.source_size, f.target_size, images)
+
+
+def _sub_images(images: tuple[int, ...], full: int) -> Iterator[tuple[int, ...]]:
+    """Image tuples of the total pointwise-subsets of ``images`` whose
+    images cover ``full``."""
+    for combo in itertools.product(*map(submasks, images)):
+        covered = 0
+        for m in combo:
+            covered |= m
+        if covered == full:
+            yield combo
+
+
+def union_table(images: tuple[int, ...]) -> list[int]:
+    """``table[m]`` is the union of ``images[a]`` over the elements a of m.
+
+    With ``table`` built from g, the composition g o f is
+    ``tuple(table[m] for m in f.images)``: one lookup per element.
+    """
+    table = [0] * (1 << len(images))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | images[low.bit_length() - 1]
+    return table
 
 
 def submasks(mask: int, base: int = 0) -> Iterator[int]:
@@ -269,55 +291,39 @@ def _dsm_from_set(n: int, shops: Iterable[HyperMap]) -> DSM:
 
 def generate_dsm(generators: Iterable[HyperMap], n: int) -> DSM:
     """Least set containing the generators and identity, closed under
-    composition and sub-shops; computed by worklist fixpoint.
+    composition and sub-shops.
 
-    Internally works on raw image tuples with per-shop union tables, so a
-    composition is one table lookup per element.
+    Composition is monotone under pointwise containment: if f' <= f and
+    g' <= g then g' o f' <= g o f.  So the sub-shops of the members of the
+    monoid <G> that composition alone generates are closed under
+    composition, and the DSM is the down-closure of <G>.  <G> is found by a
+    breadth-first search from the identity that composes each new element
+    with every generator (|<G>| * |G| compositions, through union tables);
+    its elements are then expanded into their sub-shops, largest first, and
+    an element already inside the down-closure is skipped.
     """
     full = (1 << n) - 1
-    members: set[tuple[int, ...]] = set()
-    work: list[tuple[int, ...]] = [tuple(1 << a for a in range(n))]
+    tables = []
     for g in generators:
         if not g.is_shop or g.source_size != n:
             raise FomcError("generators must be shops on the given domain")
-        work.append(g.images)
-    union_table: dict[tuple[int, ...], list[int]] = {}
-
-    def table(images: tuple[int, ...]) -> list[int]:
-        tab = union_table.get(images)
-        if tab is None:
-            tab = [0] * (full + 1)
-            for m in range(1, full + 1):
-                low = m & -m
-                tab[m] = tab[m ^ low] | images[low.bit_length() - 1]
-            union_table[images] = tab
-        return tab
-
-    def raw_sub_shops(images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for combo in itertools.product(*map(submasks, images)):
-            covered = 0
-            for m in combo:
-                covered |= m
-            if covered == full:
-                yield combo
-
-    while work:
-        f = work.pop()
-        if f in members:
-            continue
-        fresh = [s for s in raw_sub_shops(f) if s not in members]
-        members.update(fresh)
-        snapshot = list(members)
-        for s in fresh:
-            stab = table(s)
-            for g in snapshot:
-                h = tuple(stab[m] for m in g)
-                if h not in members:
-                    work.append(h)
-                gtab = table(g)
-                h = tuple(gtab[m] for m in s)
-                if h not in members:
-                    work.append(h)
+        tables.append(union_table(g.images))
+    identity = tuple(1 << a for a in range(n))
+    monoid = {identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for f in frontier:
+            for table in tables:
+                h = tuple(table[m] for m in f)
+                if h not in monoid:
+                    monoid.add(h)
+                    found.append(h)
+        frontier = found
+    members: set[tuple[int, ...]] = set()
+    for f in sorted(monoid, key=lambda f: sum(m.bit_count() for m in f), reverse=True):
+        if f not in members:
+            members.update(_sub_images(f, full))
     return _dsm_from_set(n, (HyperMap(n, n, images) for images in members))
 
 

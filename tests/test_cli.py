@@ -97,6 +97,18 @@ class TestEval:
                                "--sentence", str(fpath), "--budget", "4")
         assert code == 3
 
+    def test_deep_nesting_exits_3_without_traceback(self, tmp_path, k2_file):
+        # exit 1 means "false"; a crash must never be read as a verdict
+        path = tmp_path / "deep.fml"
+        path.write_text("exists x. exists y. " + "~" * 3000 + "E(x,y)")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fomc.cli", "eval", "--structure", k2_file,
+             "--sentence", str(path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
 
 class TestClassify:
     def test_np_complete_verdict(self, capsys, tmp_path):

@@ -126,6 +126,12 @@ class TestVertexGadget:
         assert enumerate_she(gv, bound=7).as_set() == \
             generate_dsm([f_v], 7).as_set()
 
+    def test_generated_monoid_is_exact_at_four_vertices(self):
+        f_v = vertex_gadget_generator(4)
+        direct = {identity_shop(8)} | set(sub_shops(f_v))
+        assert len(direct) == 19209
+        assert generate_dsm([f_v], 8).as_set() == direct
+
     def test_exact_monoid_at_four_vertices(self):
         gv = vertex_gadget(4)
         f_v = vertex_gadget_generator(4)

@@ -7,6 +7,8 @@ from fomc import (BudgetExceededError, all_shops, dsm_complexity_tag,
                   enumerate_dsms, export_lattice, generate_dsm, identity_shop,
                   shop_from_sets)
 from fomc.gadgets import vertex_gadget_generator
+from fomc.lattice import _GroundTables, _LazyRow
+from fomc.shops import compose, union_table
 
 
 def surjective_count(n: int) -> int:
@@ -113,6 +115,30 @@ class TestClosureOperator:
             assert set(small) <= c_small
             assert c_small <= c_large
             assert generate_dsm(c_small, 3).as_set() == c_small
+
+
+class TestGroundTables:
+    def test_rows_match_compose(self):
+        tables = _GroundTables(3)
+        ground = tables.ground
+        for i in (0, tables.identity, 131, len(ground) - 1):
+            row = tables.row(i)
+            assert [ground[k] for k in row] == [compose(ground[i], g) for g in ground]
+            lazy = _LazyRow(tables, union_table(ground[i].images))
+            assert [lazy[j] for j in range(len(ground))] == row
+
+    def test_closure_matches_generate_dsm(self):
+        rng = random.Random(211)
+        tables = _GroundTables(3)
+        N = len(tables.ground)
+        for _ in range(20):
+            picks = rng.sample(range(N), rng.randint(1, 3))
+            mask = sum(1 << i for i in picks)
+            closed = tables.closure(mask)
+            gens = [tables.ground[i] for i in picks]
+            assert tables.to_dsm(closed).as_set() == generate_dsm(gens, 3).as_set()
+            forbid = sum(1 << i for i in rng.sample(range(N), 3)) & ~mask
+            assert (tables.closure(mask, forbid) is None) == bool(closed & forbid)
 
 
 class TestExport:
