@@ -55,6 +55,16 @@ def _parse_elements(text: str) -> frozenset[int]:
         raise FomcError(f"bad element set {text!r}") from exc
 
 
+def _parse_ints(text: str | None) -> tuple[int, ...]:
+    """The comma separated integers of ``--params``; () when absent."""
+    if not text:
+        return ()
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise FomcError(f"bad --params {text!r}: expected comma separated integers") from None
+
+
 def _emit(payload: dict, as_json: bool, plain: str) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -159,7 +169,7 @@ def _cmd_dsm_census(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    params = tuple(int(p) for p in args.params.split(",")) if args.params else ()
+    params = _parse_ints(args.params)
     graph = _load_structure(args.structure) if args.structure else None
     gadget = make_gadget(GadgetSpec(args.name, params, graph))
     text = render_structure(gadget)
@@ -183,10 +193,10 @@ def _cmd_reduce(args) -> int:
     elif args.target == "g22":
         out = reduce_qcsp_nae_to_gadget(sentence, "G22")
     elif args.target == "dhat":
-        j, k = (2, 2)
-        if args.params:
-            j, k = (int(p) for p in args.params.split(","))
-        out = reduce_qcsp_nae_to_gadget(sentence, "Dhat", j, k)
+        params = _parse_ints(args.params) or (2, 2)
+        if len(params) != 2:
+            raise FomcError(f"--params for dhat takes two integers j,k, got {len(params)}")
+        out = reduce_qcsp_nae_to_gadget(sentence, "Dhat", *params)
     else:
         raise FomcError(f"unknown reduction target {args.target!r}")
     text = render_formula(out)

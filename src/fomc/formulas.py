@@ -132,6 +132,7 @@ def forall_block(variables: Sequence[str], body: Formula,
 
 
 def walk(formula: Formula) -> Iterator[Formula]:
+    """Every node, in pre-order, children left to right."""
     stack = [formula]
     while stack:
         node = stack.pop()
@@ -139,7 +140,7 @@ def walk(formula: Formula) -> Iterator[Formula]:
         if isinstance(node, Not):
             stack.append(node.child)
         elif isinstance(node, (And, Or)):
-            stack.extend(node.children)
+            stack.extend(reversed(node.children))
         elif isinstance(node, Quant):
             stack.append(node.body)
 

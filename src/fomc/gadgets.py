@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FomcError
-from .formulas import And, Formula, Not, Or, Quant, Rel, conj, disj
+from .formulas import And, Formula, Or, Quant, Rel, conj, disj, walk
 from .shops import HyperMap
 from .structures import GRAPH_SIGNATURE, Signature, Structure
 
-GADGET_NAMES = ("Kn", "KnReflexive", "KompleteBipartite", "BNAE", "OneElement",
-                "G", "Dhat", "GV", "SG")
+# the parameter counts each gadget accepts
+GADGET_PARAMS = {"Kn": (1,), "KnReflexive": (1,), "KompleteBipartite": (2,), "BNAE": (0,),
+                 "OneElement": (0, 1), "G": (4,), "Dhat": (2,), "GV": (1,), "SG": (0,)}
+GADGET_NAMES = tuple(GADGET_PARAMS)
 
 NAE_SIGNATURE = Signature.make(("NAE", 3))
 DHAT_SIGNATURE = Signature.make(("R", 4))
@@ -48,6 +50,9 @@ def _sym(pairs) -> set[tuple[int, int]]:
 def make_gadget(spec: GadgetSpec) -> Structure:
     name = spec.name
     p = spec.params
+    if len(p) not in GADGET_PARAMS[name]:
+        counts = " or ".join(map(str, GADGET_PARAMS[name]))
+        raise FomcError(f"gadget {name} takes {counts} parameters, got {len(p)}")
     if name == "Kn":
         (n,) = p
         return clique(n)
@@ -224,21 +229,12 @@ def _require_nae_prenex(formula: Formula) -> tuple[list[tuple[str, str]], Formul
             raise FomcError("expected an unrelativised prenex sentence")
         prefix.append((node.kind, node.var))
         node = node.body
-    for sub in _walk_matrix(node):
+    for sub in walk(node):
+        if isinstance(sub, Quant):
+            raise FomcError("quantifier inside the matrix; sentence is not prenex")
         if isinstance(sub, Rel) and sub.symbol != "NAE":
             raise FomcError(f"foreign symbol {sub.symbol!r}")
     return prefix, node
-
-
-def _walk_matrix(node: Formula):
-    yield node
-    if isinstance(node, (And, Or)):
-        for c in node.children:
-            yield from _walk_matrix(c)
-    elif isinstance(node, Not):
-        yield from _walk_matrix(node.child)
-    elif isinstance(node, Quant):
-        raise FomcError("quantifier inside the matrix; sentence is not prenex")
 
 
 def reduce_nae_to_k2(formula: Formula) -> Formula:

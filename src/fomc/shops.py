@@ -7,7 +7,8 @@ a total surjective hyper-operation from a domain to itself.  This module
 implements composition, inversion, sub-shop tests, preservation against a
 relational structure, exhaustive and profile-directed searches for preserving
 shops, DSM closure, the canonical identity-form shop, the 3-permuted form and
-its completion.
+its completion.  Its backtracker, ``_ImageSearch``, also runs every morphism
+and isomorphism search of ``structures``.
 """
 
 from __future__ import annotations
@@ -402,12 +403,21 @@ class _ImageSearch:
         return True
 
     def run(self, kinds: Sequence[str], collect: bool,
-            barrier: Optional[tuple[int, int]] = None):
+            barrier: Optional[tuple[int, int]] = None,
+            surjective: bool = True, injective: bool = False):
         """Search; ``kinds[step]`` is 'subset' or 'singleton'.
 
         ``barrier = (step, mask)`` demands the union of the first ``step``
         images covers ``mask``; ``step`` is at least 1 and those first steps
         are 'subset' steps.  Returns all hits or the first one.
+
+        ``covered`` is the union of the images assigned so far.  A
+        ``surjective`` search accepts a leaf only if ``covered`` is the whole
+        target; otherwise every leaf is a hit.  An ``injective`` search
+        drops ``covered`` from the allowed mask of each 'singleton' step, so
+        no two singleton images meet.  Full maps need no rule of their own:
+        ``structures.find_morphism`` runs them as homomorphisms between the
+        structures extended by each symbol's complement.
 
         Barrier pruning: before each of the first ``step`` elements, the
         images still to come can at most cover the union of their allowed
@@ -423,7 +433,7 @@ class _ImageSearch:
 
         def rec(step: int, covered: int) -> Optional[HyperMap]:
             if step == len(self.order):
-                if covered == self.full:
+                if covered == self.full or not surjective:
                     hit = HyperMap(self.n, self.m, tuple(images))
                     if collect:
                         found.append(hit)
@@ -446,6 +456,8 @@ class _ImageSearch:
             elif kinds[step] == "subset":
                 candidates = submasks(allowed)
             else:
+                if injective:
+                    allowed &= ~covered
                 candidates = [1 << b for b in bits(allowed)]
             for cand in candidates:
                 images[e] = cand

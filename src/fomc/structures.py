@@ -5,6 +5,13 @@ relation symbol.  Everything downstream (shop searches, model checking, core
 computation) builds on the operations here: complement, disjoint union,
 induced substructures, the interchangeability quotient, witness searches for
 the five morphism kinds, isomorphism and Boolean closure tests.
+
+Every morphism and isomorphism search is one run of the shop-search engine
+``shops._ImageSearch``.  Surjective kinds demand at the leaf that the images
+cover the target; injective kinds drop the images assigned so far from each
+singleton step's candidates; full kinds search between the two structures
+extended by each symbol's complement, since a map is full exactly when it is
+also a homomorphism between the complements.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FomcError, ParseError, SignatureMismatchError
-from .shops import HyperMap, _degree_descending
+from .shops import HyperMap, _degree_descending, _ImageSearch, _preserves_into
 
 MORPHISM_KINDS = ("homomorphism", "injective", "full", "fullSurjective", "surjectiveHyper")
 
@@ -211,80 +218,55 @@ def find_morphism(source: Structure, target: Structure, kind: str):
     """Deterministic first witness of the requested morphism kind, or None.
 
     Function kinds return a tuple mapping source element -> target element;
-    ``surjectiveHyper`` returns a HyperMap.  Variables are ordered by
-    descending constraint degree, values lexicographically.
+    ``surjectiveHyper`` returns a HyperMap.  Every kind is one run of the
+    image-mask engine ``shops._ImageSearch``: source elements in descending
+    constraint degree, values ascending, so the witness is the first hit in
+    that order.  Function kinds take singleton images; ``injective`` keeps
+    them pairwise distinct; ``fullSurjective`` and ``surjectiveHyper`` demand
+    that the images cover the target.  A map is full exactly when it is also
+    a homomorphism between the complements, so the full kinds search between
+    the structures extended by each symbol's complement.
     """
     if source.signature != target.signature:
         raise SignatureMismatchError("morphism search needs a shared signature")
     if kind not in MORPHISM_KINDS:
         raise FomcError(f"unknown morphism kind {kind!r}")
-    if kind == "surjectiveHyper":
-        return _find_surjective_hyper(source, target)
-    injective = kind == "injective"
-    full = kind in ("full", "fullSurjective")
-    surjective = kind == "fullSurjective"
-    return _find_function_morphism(source, target, injective, full, surjective)
+    if kind == "injective" and target.size < source.size:
+        return None
+    if kind == "fullSurjective" and target.size > source.size:
+        return None
+    hit = _first_hit(source, target, "subset" if kind == "surjectiveHyper" else "singleton",
+                     surjective=kind in ("fullSurjective", "surjectiveHyper"),
+                     injective=kind == "injective", full=kind in ("full", "fullSurjective"))
+    return hit if kind == "surjectiveHyper" else _as_function(hit)
 
 
-def _find_function_morphism(source: Structure, target: Structure,
-                            injective: bool, full: bool, surjective: bool):
+def _first_hit(source: Structure, target: Structure, step_kind: str, surjective: bool = False,
+               injective: bool = False, full: bool = False) -> Optional[HyperMap]:
+    """The engine's first hit with every step of ``step_kind``, source
+    elements in descending degree order."""
     order = _degree_descending(source)
-    position = {a: i for i, a in enumerate(order)}
-    checks: list[list[tuple[str, tuple[int, ...], bool]]] = [[] for _ in order]
-    for sym, arity in source.signature.symbols:
-        in_rel = source.relation(sym)
-        pool = in_rel if not full else set(
-            itertools.product(range(source.size), repeat=arity))
-        for t in pool:
-            step = max(position[a] for a in t)
-            checks[step].append((sym, t, t in in_rel))
-
-    assignment: dict[int, int] = {}
-
-    def ok(step: int) -> bool:
-        for sym, t, positive in checks[step]:
-            image = tuple(assignment[a] for a in t)
-            present = image in target.relation(sym)
-            if positive and not present:
-                return False
-            if full and not positive and present:
-                return False
-        return True
-
-    def rec(step: int):
-        if step == len(order):
-            if surjective and len(set(assignment.values())) != target.size:
-                return None
-            return tuple(assignment[a] for a in range(source.size))
-        a = order[step]
-        for v in range(target.size):
-            if injective and v in assignment.values():
-                continue
-            assignment[a] = v
-            if ok(step):
-                # surjectivity prune: remaining slots must cover the deficit
-                remaining = len(order) - step - 1
-                deficit = target.size - len(set(assignment.values()))
-                if not (surjective and deficit > remaining):
-                    got = rec(step + 1)
-                    if got is not None:
-                        return got
-            del assignment[a]
-        return None
-
-    if surjective and target.size > source.size:
-        return None
-    if injective and target.size < source.size:
-        return None
-    return rec(0)
+    if full:
+        source, target = _with_complements(source), _with_complements(target)
+    return _ImageSearch(source, target, order).run(
+        [step_kind] * len(order), collect=False, surjective=surjective, injective=injective)
 
 
-def _find_surjective_hyper(source: Structure, target: Structure) -> Optional[HyperMap]:
-    """Backtracking over per-element image sets with forward checking."""
-    from .shops import _ImageSearch
+def _as_function(hit: Optional[HyperMap]) -> Optional[tuple[int, ...]]:
+    return None if hit is None else tuple(m.bit_length() - 1 for m in hit.images)
 
-    search = _ImageSearch(source, target, _degree_descending(source))
-    return search.run(["subset"] * source.size, collect=False)
+
+def _with_complements(structure: Structure) -> Structure:
+    """``structure`` with every symbol ``R`` renamed ``+R`` and joined by
+    ``-R``, its complement."""
+    co = structure.complement()
+    symbols = tuple((sign + sym, arity) for sym, arity in structure.signature.symbols
+                    for sign in "+-")
+    rels = {}
+    for sym, _ in structure.signature.symbols:
+        rels["+" + sym] = structure.relation(sym)
+        rels["-" + sym] = co.relation(sym)
+    return Structure.make(Signature(symbols), structure.size, rels)
 
 
 def verify_morphism(source: Structure, target: Structure, kind: str, witness) -> bool:
@@ -293,7 +275,6 @@ def verify_morphism(source: Structure, target: Structure, kind: str, witness) ->
         f: HyperMap = witness
         if not (f.is_total and f.is_surjective):
             return False
-        from .shops import _preserves_into
         return _preserves_into(f, source, target)
     mapping = tuple(witness)
     if len(mapping) != source.size:
@@ -318,70 +299,33 @@ def verify_morphism(source: Structure, target: Structure, kind: str, witness) ->
 
 def are_isomorphic(left: Structure, right: Structure,
                    want_witness: bool = False):
-    """Brute-force isomorphism with per-element occurrence-profile pruning."""
+    """Isomorphism test.
+
+    Sizes, sorted tuple counts and sorted per-element occurrence profiles
+    must agree; then the first injective full map is the witness, a
+    bijection because the sizes are equal.
+    """
     if left.signature != right.signature:
         raise SignatureMismatchError("isomorphism test needs a shared signature")
-    if left.size != right.size:
-        return (False, None) if want_witness else False
-    if sorted(len(ts) for _, ts in left.rels) != sorted(len(ts) for _, ts in right.rels):
-        return (False, None) if want_witness else False
-
-    def profile(structure: Structure, a: int):
-        counts = []
-        for sym, ts in structure.rels:
-            arity = structure.signature.arity(sym)
-            for i in range(arity):
-                counts.append(sum(1 for t in ts if t[i] == a))
-        return tuple(counts)
-
-    left_profiles = [profile(left, a) for a in range(left.size)]
-    right_profiles = [profile(right, a) for a in range(right.size)]
-    if sorted(left_profiles) != sorted(right_profiles):
-        return (False, None) if want_witness else False
-
-    order = _degree_descending(left)
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(step: int) -> bool:
-        a = order[step]
-        for sym, ts in left.rels:
-            rel_right = right.relation(sym)
-            for t in ts:
-                if all(e in mapping for e in t):
-                    if tuple(mapping[e] for e in t) not in rel_right:
-                        return False
-        # reflect: right tuples over assigned elements must pull back
-        inv = {v: k for k, v in mapping.items()}
-        for sym, ts in right.rels:
-            rel_left = left.relation(sym)
-            for t in ts:
-                if all(e in inv for e in t):
-                    if tuple(inv[e] for e in t) not in rel_left:
-                        return False
-        return True
-
-    def rec(step: int):
-        if step == left.size:
-            return tuple(mapping[a] for a in range(left.size))
-        a = order[step]
-        for v in range(right.size):
-            if v in used or right_profiles[v] != left_profiles[a]:
-                continue
-            mapping[a] = v
-            used.add(v)
-            if consistent(step):
-                got = rec(step + 1)
-                if got is not None:
-                    return got
-            del mapping[a]
-            used.remove(v)
-        return None
-
-    witness = rec(0)
+    witness = None
+    if (left.size == right.size
+            and sorted(len(ts) for _, ts in left.rels) == sorted(len(ts) for _, ts in right.rels)
+            and _occurrence_profiles(left) == _occurrence_profiles(right)):
+        witness = _as_function(
+            _first_hit(left, right, "singleton", injective=True, full=True))
     if want_witness:
         return witness is not None, witness
     return witness is not None
+
+
+def _occurrence_profiles(structure: Structure) -> list[tuple[int, ...]]:
+    """Per element, its number of occurrences at each position of each
+    symbol; sorted."""
+    return sorted(
+        tuple(sum(1 for t in ts if t[i] == a)
+              for sym, ts in structure.rels
+              for i in range(structure.signature.arity(sym)))
+        for a in range(structure.size))
 
 
 # -- Boolean operation tables ---------------------------------------------------

@@ -217,6 +217,22 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "canonical", "--structure", k2_file)
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("reduce", "--target", "dhat", "--params", "1"), "takes two integers j,k, got 1"),
+        (("reduce", "--target", "dhat", "--params", "a,b"), "bad --params 'a,b'"),
+        (("gadget", "--name", "G", "--params", "x"), "bad --params 'x'"),
+        (("gadget", "--name", "G", "--params", "2,2,0"), "gadget G takes 4 parameters, got 3"),
+    ], ids=["dhat-one-param", "dhat-not-integers", "gadget-not-integers",
+            "gadget-param-count"])
+    def test_bad_params_exit_2_with_one_line(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "nae.fml"
+        path.write_text("exists x. NAE(x,x,x)")
+        extra = ("--sentence", str(path)) if argv[0] == "reduce" else ()
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self):

@@ -53,6 +53,14 @@ class TestConstructors:
         assert make_gadget(GadgetSpec("OneElement")).relation("E") == frozenset()
         assert make_gadget(GadgetSpec("OneElement", (1,))).relation("E") == {(0, 0)}
 
+    def test_parameter_counts_are_checked(self):
+        with pytest.raises(FomcError, match="gadget Dhat takes 2 parameters, got 1"):
+            make_gadget(GadgetSpec("Dhat", (2,)))
+        with pytest.raises(FomcError, match="gadget OneElement takes 0 or 1 parameters, got 2"):
+            make_gadget(GadgetSpec("OneElement", (1, 1)))
+        with pytest.raises(FomcError, match="gadget BNAE takes 0 parameters, got 1"):
+            make_gadget(GadgetSpec("BNAE", (1,)))
+
     def test_bipartite(self):
         s = make_gadget(GadgetSpec("KompleteBipartite", (1, 2)))
         assert s.relation("E") == sym((0, 1), (0, 2))
@@ -207,6 +215,14 @@ class TestSentenceReductions:
     def test_nae_to_k2_rejects_foreign_symbols(self):
         with pytest.raises(FomcError):
             reduce_nae_to_k2(parse_formula("exists x. E(x,x)"))
+
+    def test_first_matrix_error_in_left_to_right_order_is_reported(self):
+        foreign_first = parse_formula("exists x. (E(x,x) & (exists y. NAE(x,y,y)))")
+        with pytest.raises(FomcError, match="^foreign symbol 'E'$"):
+            reduce_nae_to_k2(foreign_first)
+        quantifier_first = parse_formula("exists x. ((exists y. NAE(x,y,y)) & E(x,x))")
+        with pytest.raises(FomcError, match="^quantifier inside the matrix; sentence is not prenex$"):
+            reduce_qcsp_nae_to_gadget(quantifier_first, "G22")
 
     def test_gadget_reduction_single_clause(self, bnae, g22, dhat22):
         f = parse_formula("forall u. exists y. NAE(u,y,y)")

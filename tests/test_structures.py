@@ -223,26 +223,36 @@ class TestMorphismLaws:
 
 
 class TestMorphismOracle:
+    MIXED = Signature.make(("P", 1), ("E", 2), ("R", 3))
+
     @staticmethod
     def brute_function_witnesses(a, b, kind):
+        """Every witness, in search order: the source elements in descending
+        degree order, each running over the target values ascending."""
         import itertools as it
+        from fomc.shops import _degree_descending
+        order = _degree_descending(a)
         hits = []
-        for mapping in it.product(range(b.size), repeat=a.size):
+        for values in it.product(range(b.size), repeat=a.size):
+            mapping = [0] * a.size
+            for element, value in zip(order, values):
+                mapping[element] = value
             if verify_morphism(a, b, kind, mapping):
-                hits.append(mapping)
+                hits.append(tuple(mapping))
         return hits
 
     def test_function_kinds_match_brute_force(self):
         rng = random.Random(37)
-        for _ in range(25):
-            a = random_structure(rng, rng.randint(1, 3))
-            b = random_structure(rng, rng.randint(1, 3))
-            for kind in ("homomorphism", "injective", "full", "fullSurjective"):
-                witness = find_morphism(a, b, kind)
-                brute = self.brute_function_witnesses(a, b, kind)
-                assert (witness is not None) == bool(brute), kind
-                if witness is not None:
-                    assert verify_morphism(a, b, kind, witness)
+        for signature, top, densities in ((GRAPH_SIGNATURE, 3, (0.5, 0.5)),
+                                          (self.MIXED, 4, (0.3, 0.7))):
+            for _ in range(40):
+                a = random_structure(rng, rng.randint(1, top), signature, densities[0])
+                b = random_structure(rng, rng.randint(1, top), signature, densities[1])
+                for kind in ("homomorphism", "injective", "full", "fullSurjective"):
+                    witness = find_morphism(a, b, kind)
+                    brute = self.brute_function_witnesses(a, b, kind)
+                    # the documented witness: the first hit in search order
+                    assert witness == (brute[0] if brute else None), kind
 
     def test_isomorphism_matches_brute_force(self):
         import itertools as it
@@ -256,4 +266,7 @@ class TestMorphismOracle:
                     for sym, ts in a.rels
                     for t in it.product(range(n), repeat=a.signature.arity(sym)))
                 for p in it.permutations(range(n)))
-            assert are_isomorphic(a, b) == brute
+            found, witness = are_isomorphic(a, b, want_witness=True)
+            assert found == are_isomorphic(a, b) == brute
+            if found:
+                assert verify_morphism(a, b, "fullSurjective", witness)

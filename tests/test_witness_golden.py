@@ -1,8 +1,9 @@
 """Golden witnesses: the exact ``classify_pos_eqfree`` verdict JSON,
-``ux_core`` output and multi-element U-surjective / X-total witnesses on
-seeded structures.
+``ux_core`` output, multi-element U-surjective / X-total witnesses,
+``classical_core`` retractions, ``find_morphism`` witnesses of every kind and
+``are_isomorphic`` witnesses on seeded structures.
 
-The shop searches skip candidates that provably cannot lead to a witness.
+The searches skip candidates that provably cannot lead to a witness.
 Skipping must never change which witness is found first, so these tests pin
 every byte of the evidence as the unpruned search produced it.  The expected
 strings live in ``golden_witnesses.json`` next to this file; regenerate them
@@ -18,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from fomc import (classify_pos_eqfree, exists_shop, meta_reduction,
-                  render_shop, render_structure, ux_core)
-from fomc.structures import GRAPH_SIGNATURE, Signature, Structure
+from fomc import (are_isomorphic, classical_core, classify_pos_eqfree,
+                  exists_shop, find_morphism, meta_reduction, render_shop,
+                  render_structure, ux_core)
+from fomc.structures import (GRAPH_SIGNATURE, MORPHISM_KINDS, Signature,
+                             Structure)
 
 GOLDEN = Path(__file__).with_name("golden_witnesses.json")
 
@@ -84,6 +87,77 @@ def shop_cases() -> list[tuple[str, Structure]]:
                          for i, p in enumerate((0.15, 0.3, 0.6))]
 
 
+MIXED_SIGNATURE = Signature.make(("P", 1), ("E", 2), ("R", 3))
+
+
+def _random(rng: random.Random, signature: Signature, n: int, p: float) -> Structure:
+    return Structure.make(signature, n, {
+        sym: {t for t in itertools.product(range(n), repeat=arity) if rng.random() < p}
+        for sym, arity in signature.symbols})
+
+
+def classical_cases() -> list[tuple[str, Structure]]:
+    """Random symmetric graphs at n = 7, 8 and p = 0.4, as in the benchmark's
+    classical-core kind, plus digraphs and a mixed signature."""
+    rng = random.Random(7108)
+    cases = [(f"sym{n}-{i}", _symmetric(rng, n, 0.4, ""))
+             for n in (7, 8) for i in range(3)]
+    cases += [(f"dg{n}", _digraph(rng, n, 0.3)) for n in (4, 5, 6)]
+    cases.append(("mixed4", _random(rng, MIXED_SIGNATURE, 4, 0.3)))
+    return cases
+
+
+def morphism_cases() -> list[tuple[str, Structure, Structure]]:
+    """Seeded source/target pairs at n <= 4 over a graph signature and over
+    one with a unary, a binary and a ternary symbol; sparse sources and
+    dense targets, so that every kind has hits and misses."""
+    rng = random.Random(4141)
+    cases = []
+    for signature, tag in ((GRAPH_SIGNATURE, "g"), (MIXED_SIGNATURE, "m")):
+        for i in range(20):
+            a = _random(rng, signature, rng.randint(1, 4), rng.choice((0.1, 0.3, 0.5)))
+            b = _random(rng, signature, rng.randint(1, 4), rng.choice((0.5, 0.7, 0.9)))
+            cases.append((f"{tag}{i}", a, b))
+        for i in range(5):  # pullbacks along a surjection: full kinds hit
+            b = _random(rng, signature, rng.randint(1, 3), 0.5)
+            h = list(range(b.size)) + [rng.randrange(b.size)
+                                       for _ in range(rng.randint(0, 4 - b.size))]
+            rng.shuffle(h)
+            a = Structure.make(signature, len(h), {
+                sym: {t for t in itertools.product(range(len(h)), repeat=arity)
+                      if tuple(h[e] for e in t) in b.relation(sym)}
+                for sym, arity in signature.symbols})
+            cases.append((f"{tag}pull{i}", a, b))
+            cases.append((f"{tag}pull{i}-rev", b, a))
+    return cases
+
+
+def iso_cases() -> list[tuple[str, Structure, Structure]]:
+    """Relabelled copies (isomorphic) and same-size random partners, plus
+    the 6-cycle against two triangles (same degrees, not isomorphic)."""
+    rng = random.Random(2718)
+    cases = []
+    for signature, tag in ((GRAPH_SIGNATURE, "g"), (MIXED_SIGNATURE, "m")):
+        for i in range(8):
+            n = rng.randint(1, 5)
+            a = _random(rng, signature, n, 0.4)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append((f"{tag}{i}-relabel", a, a.relabel(perm)))
+            cases.append((f"{tag}{i}-random", a, _random(rng, signature, n, 0.4)))
+    cycle6 = Structure.make(GRAPH_SIGNATURE, 6, {"E": _both_ways(
+        (a, (a + 1) % 6) for a in range(6))})
+    triangles = Structure.make(GRAPH_SIGNATURE, 6, {"E": _both_ways(
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])})
+    cases.append(("c6-2c3", cycle6, triangles))
+    cases.append(("c6-c6", cycle6, cycle6.relabel([3, 1, 5, 0, 2, 4])))
+    return cases
+
+
+def _both_ways(pairs) -> set:
+    return {e for a, b in pairs for e in ((a, b), (b, a))}
+
+
 def classify_text(structure: Structure) -> str:
     return json.dumps(classify_pos_eqfree(structure).to_json())
 
@@ -108,6 +182,28 @@ def shops_text(structure: Structure) -> str:
     return json.dumps(rows)
 
 
+def classical_text(structure: Structure) -> str:
+    core, retraction = classical_core(structure)
+    return json.dumps({"size": core.size, "retraction": list(retraction),
+                       "core": render_structure(core)})
+
+
+def morphism_text(source: Structure, target: Structure) -> str:
+    """First witness (or None) of every morphism kind."""
+    rows = {}
+    for kind in MORPHISM_KINDS:
+        witness = find_morphism(source, target, kind)
+        if witness is not None:
+            witness = render_shop(witness) if kind == "surjectiveHyper" else list(witness)
+        rows[kind] = witness
+    return json.dumps(rows)
+
+
+def iso_text(left: Structure, right: Structure) -> str:
+    found, witness = are_isomorphic(left, right, want_witness=True)
+    return json.dumps([found, list(witness) if witness is not None else None])
+
+
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -130,6 +226,24 @@ def test_multi_element_witnesses_are_unchanged(name, structure):
     assert shops_text(structure) == golden()["shops"][name]
 
 
+@pytest.mark.parametrize("name,structure", classical_cases(),
+                         ids=[name for name, _ in classical_cases()])
+def test_classical_core_is_unchanged(name, structure):
+    assert classical_text(structure) == golden()["classical"][name]
+
+
+@pytest.mark.parametrize("name,source,target", morphism_cases(),
+                         ids=[name for name, _, _ in morphism_cases()])
+def test_morphism_witnesses_are_unchanged(name, source, target):
+    assert morphism_text(source, target) == golden()["morphisms"][name]
+
+
+@pytest.mark.parametrize("name,left,right", iso_cases(),
+                         ids=[name for name, _, _ in iso_cases()])
+def test_isomorphism_witnesses_are_unchanged(name, left, right):
+    assert iso_text(left, right) == golden()["isomorphism"][name]
+
+
 def test_golden_covers_every_verdict_class():
     labels = {json.loads(text)["class"] for text in golden()["classify"].values()}
     assert labels == {"L", "NP-complete", "coNP-complete", "Pspace-complete"}
@@ -140,4 +254,7 @@ if __name__ == "__main__":
         "classify": {name: classify_text(s) for name, s in classify_cases()},
         "ux_core": {name: ux_text(s) for name, s in ux_cases()},
         "shops": {name: shops_text(s) for name, s in shop_cases()},
+        "classical": {name: classical_text(s) for name, s in classical_cases()},
+        "morphisms": {name: morphism_text(a, b) for name, a, b in morphism_cases()},
+        "isomorphism": {name: iso_text(a, b) for name, a, b in iso_cases()},
     }, indent=1))
