@@ -19,8 +19,8 @@ from .errors import BudgetExceededError, FomcError, ParseError
 from .evaluator import check_relativisation, evaluate
 from .formulas import (CANONICAL_FRAGMENTS, canonical_sentence, parse_formula,
                        relativise, render_formula, to_nnf)
-from .gadgets import (GADGET_NAMES, GadgetSpec, make_gadget, meta_reduction,
-                      reduce_nae_to_k2, reduce_qcsp_nae_to_gadget)
+from .gadgets import (GADGET_NAMES, GadgetSpec, check_gadget_params, make_gadget,
+                      meta_reduction, reduce_nae_to_k2, reduce_qcsp_nae_to_gadget)
 from .lattice import enumerate_dsms, export_lattice
 from .shops import canonical_shop, enumerate_she, render_shop
 from .structures import parse_structure, render_structure
@@ -194,8 +194,7 @@ def _cmd_reduce(args) -> int:
         out = reduce_qcsp_nae_to_gadget(sentence, "G22")
     elif args.target == "dhat":
         params = _parse_ints(args.params) or (2, 2)
-        if len(params) != 2:
-            raise FomcError(f"--params for dhat takes two integers j,k, got {len(params)}")
+        check_gadget_params("Dhat", params)
         out = reduce_qcsp_nae_to_gadget(sentence, "Dhat", *params)
     else:
         raise FomcError(f"unknown reduction target {args.target!r}")

@@ -47,12 +47,17 @@ def _sym(pairs) -> set[tuple[int, int]]:
     return out
 
 
+def check_gadget_params(name: str, params: tuple[int, ...]) -> None:
+    """Raise FomcError unless ``GADGET_PARAMS`` allows this many parameters."""
+    if len(params) not in GADGET_PARAMS[name]:
+        counts = " or ".join(map(str, GADGET_PARAMS[name]))
+        raise FomcError(f"gadget {name} takes {counts} parameters, got {len(params)}")
+
+
 def make_gadget(spec: GadgetSpec) -> Structure:
     name = spec.name
     p = spec.params
-    if len(p) not in GADGET_PARAMS[name]:
-        counts = " or ".join(map(str, GADGET_PARAMS[name]))
-        raise FomcError(f"gadget {name} takes {counts} parameters, got {len(p)}")
+    check_gadget_params(name, p)
     if name == "Kn":
         (n,) = p
         return clique(n)

@@ -350,14 +350,15 @@ class _ImageSearch:
     """
 
     def __init__(self, source: "Structure", target: "Structure",
-                 order: Sequence[int]):
+                 order: Sequence[int], masks: Optional[Sequence[int]] = None):
         self.n = source.size
         self.m = target.size
         self.full = (1 << target.size) - 1
         self.order = list(order)
         position = {a: i for i, a in enumerate(self.order)}
         tables = _mask_tables(target)
-        self.unary_masks = [self.full] * self.n
+        # ``masks[a]``: the target elements ``a`` may map into at all
+        self.unary_masks = list(masks) if masks is not None else [self.full] * self.n
         self.pre: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in self.order]
         self.loops: list[list[tuple[int, ...]]] = [[] for _ in self.order]
         self.general: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in self.order]
@@ -413,9 +414,11 @@ class _ImageSearch:
 
         ``covered`` is the union of the images assigned so far.  A
         ``surjective`` search accepts a leaf only if ``covered`` is the whole
-        target; otherwise every leaf is a hit.  An ``injective`` search
-        drops ``covered`` from the allowed mask of each 'singleton' step, so
-        no two singleton images meet.  Full maps need no rule of their own:
+        target, and cuts a node whose uncovered target elements outnumber
+        what the steps left can still cover (one per 'singleton' step, all
+        per 'subset' step); otherwise every leaf is a hit.  An
+        ``injective`` search drops ``covered`` from the allowed mask of each
+        'singleton' step, so no two singleton images meet.  Full maps need no rule of their own:
         ``structures.find_morphism`` runs them as homomorphisms between the
         structures extended by each symbol's complement.
 
@@ -430,16 +433,19 @@ class _ImageSearch:
         images = [0] * self.n
         found: list[HyperMap] = []
         barrier_step, barrier_mask = barrier if barrier is not None else (0, 0)
+        can_cover = [0] * (len(kinds) + 1)
+        for step in reversed(range(len(kinds))):
+            can_cover[step] = can_cover[step + 1] + (1 if kinds[step] == "singleton" else self.m)
 
         def rec(step: int, covered: int) -> Optional[HyperMap]:
-            if step == len(self.order):
-                if covered == self.full or not surjective:
-                    hit = HyperMap(self.n, self.m, tuple(images))
-                    if collect:
-                        found.append(hit)
-                        return None
-                    return hit
+            if surjective and (self.full & ~covered).bit_count() > can_cover[step]:
                 return None
+            if step == len(self.order):
+                hit = HyperMap(self.n, self.m, tuple(images))
+                if collect:
+                    found.append(hit)
+                    return None
+                return hit
             e = self.order[step]
             allowed = self.allowed(step, images)
             if not allowed:

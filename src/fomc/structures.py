@@ -8,10 +8,13 @@ the five morphism kinds, isomorphism and Boolean closure tests.
 
 Every morphism and isomorphism search is one run of the shop-search engine
 ``shops._ImageSearch``.  Surjective kinds demand at the leaf that the images
-cover the target; injective kinds drop the images assigned so far from each
-singleton step's candidates; full kinds search between the two structures
-extended by each symbol's complement, since a map is full exactly when it is
-also a homomorphism between the complements.
+cover the target, and cut a branch once the uncovered target elements
+outnumber the source elements left to assign; injective kinds drop the
+images assigned so far from each singleton step's candidates; full kinds
+search between the two structures extended by each symbol's complement,
+since a map is full exactly when it is also a homomorphism between the
+complements.  Isomorphism also sends each element only to target elements
+of equal occurrence profile.
 """
 
 from __future__ import annotations
@@ -241,14 +244,16 @@ def find_morphism(source: Structure, target: Structure, kind: str):
     return hit if kind == "surjectiveHyper" else _as_function(hit)
 
 
-def _first_hit(source: Structure, target: Structure, step_kind: str, surjective: bool = False,
-               injective: bool = False, full: bool = False) -> Optional[HyperMap]:
+def _first_hit(source: Structure, target: Structure, step_kind: str, surjective: bool,
+               injective: bool, full: bool,
+               masks: Optional[Sequence[int]] = None) -> Optional[HyperMap]:
     """The engine's first hit with every step of ``step_kind``, source
-    elements in descending degree order."""
+    elements in descending degree order, each source element ``a`` mapping
+    into ``masks[a]`` when given."""
     order = _degree_descending(source)
     if full:
         source, target = _with_complements(source), _with_complements(target)
-    return _ImageSearch(source, target, order).run(
+    return _ImageSearch(source, target, order, masks).run(
         [step_kind] * len(order), collect=False, surjective=surjective, injective=injective)
 
 
@@ -302,17 +307,23 @@ def are_isomorphic(left: Structure, right: Structure,
     """Isomorphism test.
 
     Sizes, sorted tuple counts and sorted per-element occurrence profiles
-    must agree; then the first injective full map is the witness, a
-    bijection because the sizes are equal.
+    must agree; then the first injective full map that sends each element
+    to one of equal profile is the witness, a bijection because the sizes
+    are equal.
     """
     if left.signature != right.signature:
         raise SignatureMismatchError("isomorphism test needs a shared signature")
     witness = None
     if (left.size == right.size
-            and sorted(len(ts) for _, ts in left.rels) == sorted(len(ts) for _, ts in right.rels)
-            and _occurrence_profiles(left) == _occurrence_profiles(right)):
-        witness = _as_function(
-            _first_hit(left, right, "singleton", injective=True, full=True))
+            and sorted(len(ts) for _, ts in left.rels) == sorted(len(ts) for _, ts in right.rels)):
+        left_profiles, right_profiles = _occurrence_profiles(left), _occurrence_profiles(right)
+        if sorted(left_profiles) == sorted(right_profiles):
+            same_profile: dict[tuple[int, ...], int] = {}
+            for v, profile in enumerate(right_profiles):
+                same_profile[profile] = same_profile.get(profile, 0) | 1 << v
+            witness = _as_function(_first_hit(
+                left, right, "singleton", surjective=False, injective=True, full=True,
+                masks=[same_profile[profile] for profile in left_profiles]))
     if want_witness:
         return witness is not None, witness
     return witness is not None
@@ -320,12 +331,12 @@ def are_isomorphic(left: Structure, right: Structure,
 
 def _occurrence_profiles(structure: Structure) -> list[tuple[int, ...]]:
     """Per element, its number of occurrences at each position of each
-    symbol; sorted."""
-    return sorted(
+    symbol."""
+    return [
         tuple(sum(1 for t in ts if t[i] == a)
               for sym, ts in structure.rels
               for i in range(structure.signature.arity(sym)))
-        for a in range(structure.size))
+        for a in range(structure.size)]
 
 
 # -- Boolean operation tables ---------------------------------------------------

@@ -218,7 +218,7 @@ class TestOtherCommands:
         assert code == 2
 
     @pytest.mark.parametrize("argv,message", [
-        (("reduce", "--target", "dhat", "--params", "1"), "takes two integers j,k, got 1"),
+        (("reduce", "--target", "dhat", "--params", "1"), "gadget Dhat takes 2 parameters, got 1"),
         (("reduce", "--target", "dhat", "--params", "a,b"), "bad --params 'a,b'"),
         (("gadget", "--name", "G", "--params", "x"), "bad --params 'x'"),
         (("gadget", "--name", "G", "--params", "2,2,0"), "gadget G takes 4 parameters, got 3"),

@@ -140,6 +140,23 @@ class TestFindMorphism:
     def test_injective_needs_room(self, k2, k1):
         assert find_morphism(k2, k1, "injective") is None
 
+    def test_full_surjective_on_twins_cuts_uncoverable_branches(self):
+        # on ten pairwise interchangeable elements every map is full, so a
+        # search that rejects non-surjective maps only at the leaves visits
+        # about 10^8 of them before the first bijection
+        import subprocess
+        import sys
+        code = (
+            "from fomc.structures import GRAPH_SIGNATURE, Structure, find_morphism\n"
+            "edgeless = Structure.make(GRAPH_SIGNATURE, 10, {'E': set()})\n"
+            "star = Structure.make(GRAPH_SIGNATURE, 10, {'E': {p for i in range(1, 10)\n"
+            "                                                for p in ((0, i), (i, 0))}})\n"
+            "for s in (edgeless, star):\n"
+            "    assert find_morphism(s, s, 'fullSurjective') == tuple(range(10))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+
     def test_surjective_hyper_matches_theta(self):
         # cross-checked in depth in the acceptance suite; spot check here
         from fomc import canonical_sentence, evaluate
