@@ -13,6 +13,11 @@ The grammar (whitespace-insensitive)::
 constants; the canonical-sentence builders need them for structures with no
 facts, where the conjunction of positive facts is empty.  Parsing rejects
 unbound and shadowed variables, so every parsed formula is a sentence.
+
+Every sentence transform (``to_nnf``, ``dualize``, ``relativise`` and the
+NAE reductions in ``gadgets``) is a ``visit`` function over one walk,
+``rebuild``: the visit handles the nodes it changes and returns None for the
+rest, which ``rebuild`` copies with rebuilt children.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import bisect
 import itertools
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, FomcError, FormulaError, ParseError
 
@@ -271,41 +276,52 @@ def fragment_of(formula: Formula) -> FragmentKey:
 
 # -- normal forms ----------------------------------------------------------------
 
+def rebuild(node: Formula,
+            visit: Callable[[Formula], Optional[Formula]]) -> Formula:
+    """``visit(node)`` when that is not None; otherwise a copy of ``node``
+    whose children are rebuilt the same way.  Leaves come back as they are.
+    """
+    out = visit(node)
+    if out is not None:
+        return out
+    if isinstance(node, (Top, Bottom, Rel, Eq)):
+        return node
+    if isinstance(node, Not):
+        return Not(rebuild(node.child, visit))
+    if isinstance(node, And):
+        return And(tuple(rebuild(c, visit) for c in node.children))
+    if isinstance(node, Or):
+        return Or(tuple(rebuild(c, visit) for c in node.children))
+    if isinstance(node, Quant):
+        return Quant(node.kind, node.var, node.restriction, rebuild(node.body, visit))
+    raise FormulaError(f"unknown node {node!r}")
+
+
 def to_nnf(formula: Formula) -> Formula:
     """Push negation to the atoms; quantifiers flip, restrictions carry over."""
+    return rebuild(formula, _push_negation)
 
-    def pos(node: Formula) -> Formula:
-        if isinstance(node, (Top, Bottom, Rel, Eq)):
-            return node
-        if isinstance(node, Not):
-            return neg(node.child)
-        if isinstance(node, And):
-            return And(tuple(pos(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(pos(c) for c in node.children))
-        if isinstance(node, Quant):
-            return Quant(node.kind, node.var, node.restriction, pos(node.body))
-        raise FormulaError(f"unknown node {node!r}")
 
-    def neg(node: Formula) -> Formula:
-        if isinstance(node, Top):
-            return BOTTOM
-        if isinstance(node, Bottom):
-            return TOP
-        if isinstance(node, (Rel, Eq)):
-            return Not(node)
-        if isinstance(node, Not):
-            return pos(node.child)
-        if isinstance(node, And):
-            return Or(tuple(neg(c) for c in node.children))
-        if isinstance(node, Or):
-            return And(tuple(neg(c) for c in node.children))
-        if isinstance(node, Quant):
-            flipped = "forall" if node.kind == "exists" else "exists"
-            return Quant(flipped, node.var, node.restriction, neg(node.body))
-        raise FormulaError(f"unknown node {node!r}")
-
-    return pos(formula)
+def _push_negation(node: Formula) -> Optional[Formula]:
+    """The NNF of a negation above a non-atom; None for any other node."""
+    if not isinstance(node, Not):
+        return None
+    child = node.child
+    if isinstance(child, Top):
+        return BOTTOM
+    if isinstance(child, Bottom):
+        return TOP
+    if isinstance(child, Not):
+        return rebuild(child.child, _push_negation)
+    if isinstance(child, And):
+        return Or(tuple(rebuild(Not(c), _push_negation) for c in child.children))
+    if isinstance(child, Or):
+        return And(tuple(rebuild(Not(c), _push_negation) for c in child.children))
+    if isinstance(child, Quant):
+        flipped = "forall" if child.kind == "exists" else "exists"
+        return Quant(flipped, child.var, child.restriction,
+                     rebuild(Not(child.body), _push_negation))
+    return None
 
 
 def dualize(formula: Formula) -> Formula:
@@ -316,27 +332,19 @@ def dualize(formula: Formula) -> Formula:
     with the structure).  Contract: S satisfies the input iff the complement
     of S falsifies the output.
     """
+    return rebuild(to_nnf(Not(formula)), _flip_relations)
 
-    def flip(node: Formula) -> Formula:
-        if isinstance(node, (Top, Bottom, Eq)):
+
+def _flip_relations(node: Formula) -> Optional[Formula]:
+    if isinstance(node, Rel):
+        return Not(node)
+    if isinstance(node, Not):
+        if isinstance(node.child, Rel):
+            return node.child
+        if isinstance(node.child, Eq):
             return node
-        if isinstance(node, Rel):
-            return Not(node)
-        if isinstance(node, Not):
-            if isinstance(node.child, Rel):
-                return node.child
-            if isinstance(node.child, Eq):
-                return node
-            raise FormulaError("dualize expects NNF after negation")
-        if isinstance(node, And):
-            return And(tuple(flip(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(flip(c) for c in node.children))
-        if isinstance(node, Quant):
-            return Quant(node.kind, node.var, node.restriction, flip(node.body))
-        raise FormulaError(f"unknown node {node!r}")
-
-    return flip(to_nnf(Not(formula)))
+        raise FormulaError("dualize expects NNF after negation")
+    return None
 
 
 def relativise(formula: Formula, U: Iterable[int], X: Iterable[int],
@@ -357,31 +365,23 @@ def relativise(formula: Formula, U: Iterable[int], X: Iterable[int],
     if mode in ("existentialOnly", "both") and not X:
         raise FomcError("empty existential restriction")
 
-    def rec(node: Formula) -> Formula:
-        if isinstance(node, (Top, Bottom, Rel, Eq)):
-            return node
-        if isinstance(node, Not):
-            return Not(rec(node.child))
-        if isinstance(node, And):
-            return And(tuple(rec(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(rec(c) for c in node.children))
-        if isinstance(node, Quant):
-            restriction = node.restriction
-            wanted = None
-            if node.kind == "forall" and mode in ("universalOnly", "both"):
-                wanted = U
-            if node.kind == "exists" and mode in ("existentialOnly", "both"):
-                wanted = X
-            if wanted is not None:
-                restriction = wanted if restriction is None else restriction & wanted
-                if not restriction:
-                    raise FomcError(
-                        f"restriction of {node.var!r} became empty")
-            return Quant(node.kind, node.var, restriction, rec(node.body))
-        raise FormulaError(f"unknown node {node!r}")
+    def restrict(node: Formula) -> Optional[Formula]:
+        if not isinstance(node, Quant):
+            return None
+        restriction = node.restriction
+        wanted = None
+        if node.kind == "forall" and mode in ("universalOnly", "both"):
+            wanted = U
+        if node.kind == "exists" and mode in ("existentialOnly", "both"):
+            wanted = X
+        if wanted is not None:
+            restriction = wanted if restriction is None else restriction & wanted
+            if not restriction:
+                raise FomcError(
+                    f"restriction of {node.var!r} became empty")
+        return Quant(node.kind, node.var, restriction, rebuild(node.body, restrict))
 
-    return rec(formula)
+    return rebuild(formula, restrict)
 
 
 # -- canonical sentences -----------------------------------------------------------
@@ -407,14 +407,9 @@ def positive_facts(structure: "Structure", elements: Sequence[int],
 
 def negative_facts(structure: "Structure", elements: Sequence[int],
                    variables: Sequence[str]) -> list[Formula]:
-    atoms: list[Formula] = []
-    l = len(elements)
-    for sym, arity in structure.signature.symbols:
-        rel = structure.relation(sym)
-        for idx in itertools.product(range(l), repeat=arity):
-            if tuple(elements[i] for i in idx) not in rel:
-                atoms.append(Not(Rel(sym, tuple(variables[i] for i in idx))))
-    return atoms
+    """Negated atoms for every fact the ``elements`` fail: the positive
+    facts of the complement, in the same order."""
+    return [Not(a) for a in positive_facts(structure.complement(), elements, variables)]
 
 
 def canonical_sentence(structure: "Structure", fragment: str,

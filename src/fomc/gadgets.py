@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FomcError
-from .formulas import And, Formula, Or, Quant, Rel, conj, disj, walk
+from .formulas import And, Formula, Or, Quant, Rel, conj, disj, rebuild, walk
 from .shops import HyperMap
 from .structures import GRAPH_SIGNATURE, Signature, Structure
 
@@ -66,6 +66,8 @@ def make_gadget(spec: GadgetSpec) -> Structure:
         return reflexive_clique(n)
     if name == "KompleteBipartite":
         a, b = p
+        if a < 1 or b < 1:
+            raise FomcError("block sizes must be positive")
         edges = _sym((x, a + y) for x in range(a) for y in range(b))
         return Structure.make(GRAPH_SIGNATURE, a + b, {"E": edges},
                               f"K_{a}_{b}")
@@ -73,7 +75,9 @@ def make_gadget(spec: GadgetSpec) -> Structure:
         tuples = set(itertools.product((0, 1), repeat=3)) - {(0, 0, 0), (1, 1, 1)}
         return Structure.make(NAE_SIGNATURE, 2, {"NAE": tuples}, "B_nae")
     if name == "OneElement":
-        looped = bool(p[0]) if p else False
+        if p and p[0] not in (0, 1):
+            raise FomcError(f"OneElement takes 0 (point) or 1 (loop), got {p[0]}")
+        looped = p == (1,)
         edges = {(0, 0)} if looped else set()
         return Structure.make(GRAPH_SIGNATURE, 1, {"E": edges},
                               "loop" if looped else "point")
@@ -249,22 +253,19 @@ def reduce_nae_to_k2(formula: Formula) -> Formula:
     all equal, so truth transfers between the not-all-equal structure and the
     clique verbatim.
     """
-    def rec(node: Formula) -> Formula:
-        if isinstance(node, Quant):
-            return Quant(node.kind, node.var, node.restriction, rec(node.body))
-        if isinstance(node, And):
-            return And(tuple(rec(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(rec(c) for c in node.children))
-        if isinstance(node, Rel):
-            if node.symbol != "NAE":
-                raise FomcError(f"foreign symbol {node.symbol!r}")
-            x, y, z = node.args
-            return Or((Rel("E", (x, y)), Rel("E", (y, z)), Rel("E", (x, z))))
-        raise FomcError("reduction expects a positive {exists,forall,and} sentence")
-
     _require_nae_prenex(formula)
-    return rec(formula)
+    return rebuild(formula, _expand_nae)
+
+
+def _expand_nae(node: Formula) -> Optional[Formula]:
+    if isinstance(node, (Quant, And, Or)):
+        return None
+    if isinstance(node, Rel):
+        if node.symbol != "NAE":
+            raise FomcError(f"foreign symbol {node.symbol!r}")
+        x, y, z = node.args
+        return Or((Rel("E", (x, y)), Rel("E", (y, z)), Rel("E", (x, z))))
+    raise FomcError("reduction expects a positive {exists,forall,and} sentence")
 
 
 def reduce_qcsp_nae_to_gadget(formula: Formula, target: str = "G22",
@@ -284,14 +285,10 @@ def reduce_qcsp_nae_to_gadget(formula: Formula, target: str = "G22",
         j = k = 2
     prefix, matrix = _require_nae_prenex(formula)
     clauses: list[Rel] = []
-    stack = [matrix]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.extend(reversed(node.children))
-        elif isinstance(node, Rel):
+    for node in walk(matrix):
+        if isinstance(node, Rel):
             clauses.append(node)
-        else:
+        elif not isinstance(node, And):
             raise FomcError("matrix must be a conjunction of NAE atoms")
     clauses.reverse()
 

@@ -16,7 +16,6 @@ maximal elements only, folding in the sub-shops of each element it reaches.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,14 +36,7 @@ def all_shops(n: int, bound: int = MAX_ALL_SHOPS) -> tuple[HyperMap, ...]:
     if n > bound:
         raise BudgetExceededError(f"cannot materialise all shops on {n} elements")
     full = (1 << n) - 1
-    out = []
-    for images in itertools.product(range(1, full + 1), repeat=n):
-        covered = 0
-        for m in images:
-            covered |= m
-        if covered == full:
-            out.append(HyperMap(n, n, images))
-    return tuple(out)
+    return tuple(sub_shops(HyperMap(n, n, (full,) * n)))
 
 
 def contains_a_shop(dsm: Iterable[HyperMap], n: int) -> bool:
@@ -96,10 +88,7 @@ class _GroundTables:
         self.ground = all_shops(n)
         self.index = {f.images: i for i, f in enumerate(self.ground)}
         self.identity = self.index[identity_shop(n).images]
-        # full rows pay off up to n = 3; beyond that each row is filled
-        # entry by entry, so a forced n = 4 run is slow instead of impossible
-        self.dense = len(self.ground) <= 512
-        self.rows: dict[int, list[int] | _LazyRow] = {}
+        self.rows: dict[int, _LazyRow] = {}
         self.sub = [0] * len(self.ground)
         for i, f in enumerate(self.ground):
             m = 0
@@ -107,19 +96,15 @@ class _GroundTables:
                 m |= 1 << self.index[s.images]
             self.sub[i] = m
 
-    def row(self, i: int) -> list[int] | _LazyRow:
+    def row(self, i: int) -> _LazyRow:
         """The composition-table row of ground[i]: ``row(i)[j]`` indexes
         ground[i] o ground[j].  Built on first use from the union table of
-        ground[i]."""
+        ground[i], and filled entry by entry: a census search reads only a
+        few entries of most rows, and a dense n = 4 table would need 20k
+        rows of 41,503 entries each."""
         row = self.rows.get(i)
         if row is None:
-            table = union_table(self.ground[i].images)
-            if self.dense:
-                index = self.index
-                row = [index[tuple(table[m] for m in f.images)] for f in self.ground]
-            else:
-                row = _LazyRow(self, table)
-            self.rows[i] = row
+            row = self.rows[i] = _LazyRow(self, union_table(self.ground[i].images))
         return row
 
     def closure(self, mask: int, forbid: int = 0) -> int | None:

@@ -24,10 +24,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import FomcError, ParseError, SignatureMismatchError
+from .errors import BudgetExceededError, FomcError, ParseError, SignatureMismatchError
 from .shops import HyperMap, _degree_descending, _ImageSearch, _preserves_into
 
 MORPHISM_KINDS = ("homomorphism", "injective", "full", "fullSurjective", "surjectiveHyper")
+
+# the most tuples a complement may hold, about 120 MB of binary tuples
+MAX_COMPLEMENT_TUPLES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,11 @@ class Structure:
 
     @cached_property
     def _complement(self) -> "Structure":
+        count = sum(self.size ** arity for _, arity in self.signature.symbols)
+        if count > MAX_COMPLEMENT_TUPLES:
+            raise BudgetExceededError(
+                f"complement would need up to {count} tuples "
+                f"(limit {MAX_COMPLEMENT_TUPLES})")
         rels = {}
         for sym, arity in self.signature.symbols:
             universe = set(itertools.product(range(self.size), repeat=arity))

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -148,6 +149,24 @@ class TestClassify:
         assert validate(proc.stdout, "verdict.schema.json")["class"] == "NP-complete"
         assert elapsed < 5.0
 
+    def test_dual_on_huge_domain_exits_3(self, tmp_path):
+        # the complement of a 2e9-element ternary relation cannot be built;
+        # the address-space cap makes a missing guard fail fast
+        path = tmp_path / "huge.fms"
+        path.write_text("structure huge\ndomain 2000000000\nrelation R/3\nend\n")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fomc.cli", "classify", "--structure", str(path),
+             "--fragment", "dual:pos-eqfree"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: complement would need")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestCensus:
     def test_count_output(self, capsys):
@@ -222,8 +241,12 @@ class TestOtherCommands:
         (("reduce", "--target", "dhat", "--params", "a,b"), "bad --params 'a,b'"),
         (("gadget", "--name", "G", "--params", "x"), "bad --params 'x'"),
         (("gadget", "--name", "G", "--params", "2,2,0"), "gadget G takes 4 parameters, got 3"),
+        (("gadget", "--name", "KompleteBipartite", "--params=-1,2"),
+         "block sizes must be positive"),
+        (("gadget", "--name", "OneElement", "--params=-3"),
+         "OneElement takes 0 (point) or 1 (loop), got -3"),
     ], ids=["dhat-one-param", "dhat-not-integers", "gadget-not-integers",
-            "gadget-param-count"])
+            "gadget-param-count", "bipartite-negative-block", "one-element-bad-flag"])
     def test_bad_params_exit_2_with_one_line(self, capsys, tmp_path, argv, message):
         path = tmp_path / "nae.fml"
         path.write_text("exists x. NAE(x,x,x)")

@@ -8,7 +8,8 @@ from fomc import (And, BudgetExceededError, Eq, Not, Or,
                   fragment_of, parse_formula, quotient_by_sim, relativise,
                   render_formula, sim_formula, to_nnf)
 from fomc.evaluator import SamplerConfig, sample_sentence
-from fomc.formulas import TOP, BOTTOM, free_variables
+from fomc.errors import FormulaError
+from fomc.formulas import TOP, BOTTOM, Formula, free_variables, rebuild
 from fomc.structures import GRAPH_SIGNATURE
 
 from conftest import random_structure
@@ -83,6 +84,39 @@ class TestRoundTrip:
                 assert parse_formula(render_formula(f)) == f
             f = canonical_sentence(s, "pos-eqfree", m=2)
             assert parse_formula(render_formula(f)) == f
+
+
+class _Unknown(Formula):
+    """A node type no transform knows."""
+
+
+class TestRebuild:
+    def test_no_visit_copies_the_formula(self):
+        rng = random.Random(45)
+        cfg = SamplerConfig(allow_negation=True, allow_equality=True)
+        corpus = [sample_sentence(GRAPH_SIGNATURE, rng, cfg) for _ in range(200)]
+        corpus.append(parse_formula("exists x in {0, 1}. ~true | x != x & false"))
+        for f in corpus:
+            assert rebuild(f, lambda node: None) == f
+
+    def test_visit_replaces_the_whole_subtree(self):
+        f = parse_formula("forall x. E(x,x) & ~(exists y. E(x,y))")
+        seen = []
+
+        def visit(node):
+            seen.append(node)
+            return TOP if isinstance(node, (Rel, Quant)) and node is not f else None
+
+        assert rebuild(f, visit) == Quant("forall", "x", None, And((TOP, Not(TOP))))
+        assert not any(isinstance(node, Rel) and "y" in node.args for node in seen)
+
+    def test_unknown_node_raises(self):
+        with pytest.raises(FormulaError, match="unknown node"):
+            rebuild(_Unknown(), lambda node: None)
+        with pytest.raises(FormulaError, match="unknown node"):
+            rebuild(And((TOP, Not(_Unknown()))), lambda node: None)
+        with pytest.raises(FormulaError, match="unknown node"):
+            to_nnf(Not(_Unknown()))
 
 
 class TestNnf:
