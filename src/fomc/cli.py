@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-relativisation", nargs=2, metavar=("U=SET", "X=SET"))
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int,
+                   help="give up (exit 3) after this many formula nodes visited")
     common(p)
     p.set_defaults(fn=_cmd_eval)
 

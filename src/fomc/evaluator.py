@@ -1,10 +1,15 @@
 """Model checking: game-style evaluation, traces, containment, relativisation
 checks and sentence sampling.
 
-Evaluation is plain recursive descent: existential quantifiers look for one
-good element of their range, universal ones demand all of it, and the range is
-the quantifier's restriction set when present.  Traces record the witnessing
-choices on the winning side and can be replayed to re-derive the verdict.
+``evaluate`` compiles a sentence before it runs it: one pre-order walk checks
+the sentence as ``check_formula`` does and turns every node into a closure
+over a list of variable slots, with each quantifier's range precomputed.  The
+compiled sentence then plays the game once: existential quantifiers look for
+one good element of their range, universal ones demand all of it, and the
+range is the quantifier's restriction set when present.  Traces
+(``evaluate_with_trace``) are built by plain recursive descent; they record the
+witnessing choices on the winning side and can be replayed to re-derive the
+verdict, which makes them the slow oracle for ``evaluate``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, FomcError, FormulaError
 from .formulas import (And, Bottom, Eq, Formula, Not, Or, Quant, Rel, Top,
@@ -25,14 +31,13 @@ CONTAINMENT_FRAGMENTS = ("pp", "pp-neq", "eqfree-neg", "pos-eqfree")
 class _Budget:
     __slots__ = ("left",)
 
-    def __init__(self, limit: Optional[int]):
+    def __init__(self, limit: int):
         self.left = limit
 
     def spend(self):
-        if self.left is not None:
-            self.left -= 1
-            if self.left < 0:
-                raise BudgetExceededError("evaluation budget exhausted")
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceededError("evaluation budget exhausted")
 
 
 def _quantifier_range(structure: Structure, node: Quant) -> Iterable[int]:
@@ -46,50 +51,194 @@ def evaluate(structure: Structure, formula: Formula,
              _free: Optional[dict[str, int]] = None) -> bool:
     """Truth of a sentence over a structure.
 
-    ``_free`` supplies values for free variables (used by the defining-formula
-    machinery); ordinary callers evaluate closed sentences.
+    ``budget`` bounds the work in nodes visited: each visit of a node, every
+    time the game reaches it, spends one unit, and running out raises
+    ``BudgetExceededError``.  ``_free`` supplies values for free variables
+    (used by the defining-formula machinery); ordinary callers evaluate
+    closed sentences.
     """
-    env = dict(_free or {})
-    check_formula(formula, structure.signature, structure.size,
-                  allow_free=env.keys())
-    counter = _Budget(budget)
+    free = _free or {}
+    spend = None if budget is None else _Budget(budget).spend
+    program, width = _compile(structure, formula, free, spend)
+    return program(list(free.values()) + [0] * (width - len(free)))
 
-    def rec(node: Formula) -> bool:
-        counter.spend()
-        if isinstance(node, Top):
-            return True
-        if isinstance(node, Bottom):
-            return False
-        if isinstance(node, Rel):
-            return tuple(env[v] for v in node.args) in structure.relation(node.symbol)
-        if isinstance(node, Eq):
-            return env[node.left] == env[node.right]
-        if isinstance(node, Not):
-            return not rec(node.child)
-        if isinstance(node, And):
-            return all(rec(c) for c in node.children)
-        if isinstance(node, Or):
-            return any(rec(c) for c in node.children)
-        if isinstance(node, Quant):
-            values = _quantifier_range(structure, node)
-            if node.kind == "exists":
-                for v in values:
-                    env[node.var] = v
-                    if rec(node.body):
-                        del env[node.var]
-                        return True
-                env.pop(node.var, None)
+
+# a compiled node: its truth under the slot environment
+_Closure = Callable[[list[int]], bool]
+
+
+def _compile(structure: Structure, formula: Formula, free: dict[str, int],
+             spend: Optional[Callable[[], None]]) -> tuple[_Closure, int]:
+    """Check ``formula`` and compile it in one pre-order walk.
+
+    The checks, their order and their messages are those of ``check_formula``
+    with the structure's signature and size and ``free`` allowed.  Each node
+    becomes a closure over a list environment: the free variables take the
+    first slots and a quantifier at nesting depth d the slot after them plus
+    d.  Returns the root closure and the number of slots.  With ``spend``,
+    every closure calls it once on entry.
+    """
+    arities = dict(structure.signature.symbols)
+    relations = structure.relations
+    size = structure.size
+    everything = tuple(range(size))
+    # the innermost binding of every variable in scope, free ones included
+    slots = {name: i for i, name in enumerate(free)}
+    bound: set[str] = set()
+    base = width = len(slots)
+
+    def unbound(names: Iterable[str]) -> FormulaError:
+        var = next(v for v in names if v not in slots)
+        return FormulaError(f"unbound variable {var!r}")
+
+    # relation atoms over the same slots share one closure (canonical
+    # sentences repeat a few dozen atoms thousands of times)
+    atoms: dict[tuple, _Closure] = {}
+
+    def comp(node: Formula, depth: int) -> _Closure:
+        nonlocal width
+        kind = type(node)
+        if kind is Rel:
+            args = node.args
+            arity = arities.get(node.symbol)
+            if arity is None:
+                raise FormulaError(f"unknown relation symbol {node.symbol!r}")
+            if arity != len(args):
+                raise FormulaError(f"arity mismatch for {node.symbol!r}: got {len(args)}")
+            try:
+                key = (node.symbol, itemgetter(*args)(slots))
+            except KeyError:
+                raise unbound(args) from None
+            fn = atoms.get(key)
+            if fn is None:
+                fn = _relation(relations[node.symbol], key[1])
+                fn = atoms[key] = fn if spend is None else _counted(fn, spend)
+            return fn
+        if kind is Eq:
+            try:
+                i, j = slots[node.left], slots[node.right]
+            except KeyError:
+                raise unbound((node.left, node.right)) from None
+            fn = _equality(i, j)
+        elif kind is Not:
+            fn = _negation(comp(node.child, depth))
+        elif kind is And or kind is Or:
+            children = node.children
+            if len(children) == 2:
+                fn = (_both if kind is And else _either)(comp(children[0], depth),
+                                                         comp(children[1], depth))
+            else:
+                children = [comp(c, depth) for c in children]
+                fn = (_conjunction if kind is And else _disjunction)(children)
+        elif kind is Quant:
+            if node.var in bound:
+                raise FormulaError(f"shadowed variable {node.var!r}")
+            if node.restriction is None:
+                values = everything
+            else:
+                if any(not (0 <= e < size) for e in node.restriction):
+                    raise FormulaError("restriction outside the domain")
+                values = tuple(sorted(node.restriction))
+            at = base + depth
+            if at >= width:
+                width = at + 1
+            outer = slots.get(node.var)
+            slots[node.var] = at
+            bound.add(node.var)
+            body = comp(node.body, depth + 1)
+            bound.remove(node.var)
+            if outer is None:
+                del slots[node.var]
+            else:
+                slots[node.var] = outer
+            fn = (_exists if node.kind == "exists" else _forall)(at, values, body)
+        elif kind is Top:
+            fn = _true
+        elif kind is Bottom:
+            fn = _false
+        else:
+            raise FormulaError(f"unknown node {node!r}")
+        return fn if spend is None else _counted(fn, spend)
+
+    program = comp(formula, 0)
+    return program, width
+
+
+def _relation(tuples: frozenset[tuple[int, ...]], at) -> _Closure:
+    """Membership of the slots ``at`` (one index or a tuple of them)."""
+    if isinstance(at, int):
+        return lambda env: (env[at],) in tuples
+    get = itemgetter(*at)
+    return lambda env: get(env) in tuples
+
+
+def _equality(i: int, j: int) -> _Closure:
+    return lambda env: env[i] == env[j]
+
+
+def _negation(child: _Closure) -> _Closure:
+    return lambda env: not child(env)
+
+
+def _both(first: _Closure, second: _Closure) -> _Closure:
+    return lambda env: first(env) and second(env)
+
+
+def _either(first: _Closure, second: _Closure) -> _Closure:
+    return lambda env: first(env) or second(env)
+
+
+def _true(env: list[int]) -> bool:
+    return True
+
+
+def _false(env: list[int]) -> bool:
+    return False
+
+
+def _conjunction(children: list[_Closure]) -> _Closure:
+    def run(env):
+        for child in children:
+            if not child(env):
                 return False
-            for v in values:
-                env[node.var] = v
-                if not rec(node.body):
-                    del env[node.var]
-                    return False
-            env.pop(node.var, None)
-            return True
-        raise FormulaError(f"unknown node {node!r}")
+        return True
+    return run
 
-    return rec(formula)
+
+def _disjunction(children: list[_Closure]) -> _Closure:
+    def run(env):
+        for child in children:
+            if child(env):
+                return True
+        return False
+    return run
+
+
+def _exists(at: int, values: tuple[int, ...], body: _Closure) -> _Closure:
+    def run(env):
+        for v in values:
+            env[at] = v
+            if body(env):
+                return True
+        return False
+    return run
+
+
+def _forall(at: int, values: tuple[int, ...], body: _Closure) -> _Closure:
+    def run(env):
+        for v in values:
+            env[at] = v
+            if not body(env):
+                return False
+        return True
+    return run
+
+
+def _counted(fn: _Closure, spend: Callable[[], None]) -> _Closure:
+    def run(env):
+        spend()
+        return fn(env)
+    return run
 
 
 # -- traces ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared fixtures and helpers for the test suite."""
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,16 @@ def all_binary_structures(size: int):
     for selector in range(1 << len(pairs)):
         edges = {p for i, p in enumerate(pairs) if selector >> i & 1}
         yield Structure.make(GRAPH_SIGNATURE, size, {"E": edges})
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_path():
+    """The CLI tests start ``python -m fomc.cli`` as a process; put this
+    checkout's src/ on its path, as pyproject.toml does for pytest itself."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture(scope="session")
