@@ -63,26 +63,28 @@ class UXCore:
     embedding: dict[int, int]
 
 
+def _minimal_sets(structure: Structure, profile: str) -> tuple[int, list[tuple[int, ...]]]:
+    """Smallest size k with a ``profile`` shop preserving the structure for
+    some k-subset, and every subset of that size admitting one."""
+    n = structure.size
+    for size in range(1, n + 1):
+        hits = [S for S in itertools.combinations(range(n), size)
+                if exists_shop(structure, profile, frozenset(S)) is not None]
+        if hits:
+            return size, hits
+    raise FomcError(f"unreachable: the whole domain always admits a {profile} shop")  # pragma: no cover
+
+
 def minimal_u_sets(structure: Structure) -> tuple[int, list[tuple[int, ...]]]:
     """Smallest size u* with a U-surjective preserving shop, and every U of
     that size admitting one."""
-    n = structure.size
-    for size in range(1, n + 1):
-        hits = [U for U in itertools.combinations(range(n), size)
-                if exists_shop(structure, "U-surjective", frozenset(U)) is not None]
-        if hits:
-            return size, hits
-    raise FomcError("unreachable: U = D always works")  # pragma: no cover
+    return _minimal_sets(structure, "U-surjective")
 
 
 def minimal_x_sets(structure: Structure) -> tuple[int, list[tuple[int, ...]]]:
-    n = structure.size
-    for size in range(1, n + 1):
-        hits = [X for X in itertools.combinations(range(n), size)
-                if exists_shop(structure, "X-total", frozenset(X)) is not None]
-        if hits:
-            return size, hits
-    raise FomcError("unreachable: X = D always works")  # pragma: no cover
+    """Smallest size x* with an X-total preserving shop, and every X of
+    that size admitting one."""
+    return _minimal_sets(structure, "X-total")
 
 
 def ux_core(structure: Structure, bound: int = DEFAULT_CORE_BOUND) -> UXCore:

@@ -1,10 +1,14 @@
 """Census of the DSM lattice over small domains.
 
-Closed sets are enumerated Next-Closure style over the DSM closure operator,
-walking candidate supersets in lectic order, so the number of closure
-computations stays proportional to the number of DSMs rather than the power
-set of all shops.  Closures run over composition and sub-shop tables indexed
-by the ground set, as bitmask searches.
+The census searches upward from the least DSM along upper covers.  Every
+DSM M' strictly above a DSM M contains a shop g that is minimal among the
+shops of M' outside M, and every strict sub-shop of such a *border* shop
+already lies in M.  The closure of M with g lies inside M', so when M' is an
+upper cover of M it is that closure.  The upper covers of M are therefore
+the minimal closures of M with one border shop, and the search from the
+least DSM reaches every DSM and every cover edge.  Closures run over
+composition and sub-shop tables indexed by the ground set, as bitmask
+searches.
 
 Composition is monotone under pointwise containment: if f' <= f and g' <= g
 then g' o f' <= g o f.  So the DSM generated by a set G of shops is the
@@ -19,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BudgetExceededError
-from .shops import (DSM, HyperMap, bits, generate_dsm, identity_shop,
-                    render_shop, sub_shops, union_table)
+from .errors import BudgetExceededError, FomcError
+from .shops import (DSM, HyperMap, bits, identity_shop, render_shop, sub_shops,
+                    union_table)
 
 MAX_ALL_SHOPS = 5
 MAX_CENSUS = 3
@@ -35,6 +39,8 @@ def all_shops(n: int, bound: int = MAX_ALL_SHOPS) -> tuple[HyperMap, ...]:
     """
     if n > bound:
         raise BudgetExceededError(f"cannot materialise all shops on {n} elements")
+    if n < 1:
+        raise FomcError(f"domain size must be positive, got {n}")
     full = (1 << n) - 1
     return tuple(sub_shops(HyperMap(n, n, (full,) * n)))
 
@@ -107,7 +113,7 @@ class _GroundTables:
             row = self.rows[i] = _LazyRow(self, union_table(self.ground[i].images))
         return row
 
-    def closure(self, mask: int, forbid: int = 0) -> int | None:
+    def closure(self, mask: int) -> int:
         """DSM closure of the indicated ground shops.
 
         By the monotonicity of composition the closure is the down-closure
@@ -116,11 +122,6 @@ class _GroundTables:
         each element h it reaches into the members, and composes h with
         every maximal element; an element already among the members lies
         below one that was reached before, so it is not expanded again.
-
-        Aborts with None as soon as a shop indexed inside ``forbid`` would be
-        added; lectic-order candidate rejection relies on this, and the
-        sub-shop down-closure (whose members sort below their parent) makes
-        most rejections immediate.
         """
         sub = self.sub
         rows = []
@@ -134,10 +135,7 @@ class _GroundTables:
             h = pending.pop()
             if members >> h & 1:
                 continue
-            fresh = sub[h] & ~members
-            if fresh & forbid:
-                return None
-            members |= fresh
+            members |= sub[h]
             for row in rows:
                 k = row[h]
                 if not members >> k & 1:
@@ -164,80 +162,57 @@ class _LazyRow(dict):
 
 
 def enumerate_dsms(n: int, bound: int = MAX_CENSUS, force: bool = False) -> list[LatticeNode]:
-    """All DSMs on n elements as lattice nodes with tags and cover edges."""
+    """All DSMs on n elements as lattice nodes with tags and cover edges,
+    found by the upward search over upper covers (see the module doc)."""
     if n > bound and not force:
         raise BudgetExceededError(f"census bound is {bound} elements")
     tables = _GroundTables(n)
-    N = len(tables.ground)
+    sub = tables.sub
+    full = (1 << len(tables.ground)) - 1
+    bottom = tables.closure(0)
+    lower: dict[int, list[int]] = {bottom: []}  # each DSM's lower covers
+    queue = [bottom]
+    for low in queue:
+        ups = {tables.closure(low | 1 << g) for g in bits(full & ~low)
+               if sub[g] & ~low == 1 << g}
+        for up in ups:
+            if any(other != up and other & ~up == 0 for other in ups):
+                continue
+            if up not in lower:
+                lower[up] = []
+                queue.append(up)
+            lower[up].append(low)
 
-    closed_sets: list[int] = []
-    current = tables.closure(0)
-    closed_sets.append(current)
-    while True:
-        nxt = _next_closure(current, N, tables.closure)
-        if nxt is None:
-            break
-        closed_sets.append(nxt)
-        current = nxt
-
-    masks = sorted(closed_sets, key=lambda m: (m.bit_count(), m))
+    masks = sorted(lower, key=lambda m: (m.bit_count(), m))
+    position = {mask: i for i, mask in enumerate(masks)}
     nodes: list[LatticeNode] = []
     for idx, mask in enumerate(masks):
         dsm = tables.to_dsm(mask)
-        nodes.append(LatticeNode(idx, dsm, _minimal_generators(dsm),
-                                 dsm_complexity_tag(dsm)))
-    _attach_covers(nodes, masks)
+        nodes.append(LatticeNode(idx, dsm, _minimal_generators(tables, mask),
+                                 dsm_complexity_tag(dsm),
+                                 tuple(sorted(position[m] for m in lower[mask]))))
     return nodes
 
 
-def _minimal_generators(dsm: DSM) -> tuple[HyperMap, ...]:
+def _minimal_generators(tables: _GroundTables, mask: int) -> tuple[HyperMap, ...]:
     """Greedy generating set: repeatedly add the largest missing shop.
 
     Greedy from maximal elements reproduces the one-generator descriptions of
     the small lattices; for the trivial monoid the identity itself is
     reported.
     """
-    if len(dsm) == 1:
-        return (identity_shop(dsm.size),)
+    ground = tables.ground
+    closed = tables.closure(0)
+    if mask == closed:
+        return (identity_shop(tables.n),)
     generators: list[HyperMap] = []
-    closed = generate_dsm([], dsm.size)
-    remaining = [f for f in dsm if f not in closed]
-    while remaining:
-        pick = max(remaining,
-                   key=lambda f: (sum(m.bit_count() for m in f.images), f.images))
-        generators.append(pick)
-        closed = generate_dsm(generators, dsm.size)
-        remaining = [f for f in dsm if f not in closed]
+    while mask & ~closed:
+        pick = max(bits(mask & ~closed),
+                   key=lambda i: (sum(m.bit_count() for m in ground[i].images),
+                                  ground[i].images))
+        generators.append(ground[pick])
+        closed = tables.closure(closed | 1 << pick)
     return tuple(sorted(generators))
-
-
-def _next_closure(current: int, N: int, closure) -> int | None:
-    """Lectic successor of a closed set (ground elements ordered by index)."""
-    for i in range(N - 1, -1, -1):
-        bit = 1 << i
-        if current & bit:
-            current &= ~bit
-        else:
-            # accept iff closing in g_i adds nothing below i
-            candidate = closure(current | bit, forbid=(bit - 1) & ~current)
-            if candidate is not None:
-                return candidate
-    return None
-
-
-def _attach_covers(nodes: list[LatticeNode], masks: list[int]) -> None:
-    """Cover edges from the ground-set masks of the nodes, which are sorted
-    by size.  Walking the strict subsets of a node from the largest down,
-    a subset is covered by the node iff it lies below none of the covers
-    already found."""
-    for i, node in enumerate(nodes):
-        top = masks[i]
-        covers: list[int] = []
-        for j in range(i - 1, -1, -1):
-            m = masks[j]
-            if m & ~top == 0 and all(m & ~masks[c] for c in covers):
-                covers.append(j)
-        node.covers = tuple(sorted(covers))
 
 
 def export_lattice(nodes: list[LatticeNode]) -> str:

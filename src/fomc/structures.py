@@ -47,22 +47,23 @@ class Signature:
             if arity < 1:
                 raise FomcError(f"arity of {name} must be positive")
         object.__setattr__(self, "symbols", tuple(sorted(self.symbols)))
+        object.__setattr__(self, "_arities", dict(self.symbols))
 
     @staticmethod
     def make(*symbols: tuple[str, int]) -> "Signature":
         return Signature(tuple(symbols))
 
     def arity(self, name: str) -> int:
-        for sym, arity in self.symbols:
-            if sym == name:
-                return arity
-        raise FomcError(f"unknown relation symbol {name!r}")
+        try:
+            return self._arities[name]
+        except KeyError:
+            raise FomcError(f"unknown relation symbol {name!r}") from None
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
 
     def __contains__(self, name: str) -> bool:
-        return any(sym == name for sym, _ in self.symbols)
+        return name in self._arities
 
 
 GRAPH_SIGNATURE = Signature.make(("E", 2))

@@ -181,6 +181,12 @@ class TestCensus:
         assert doc["count"] == 5
         assert "covers" in export.read_text()
 
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_non_positive_domain_exits_2_with_one_line(self, capsys, n):
+        code, out, err = run_cli(capsys, "dsm-census", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: domain size must be positive, got {n}\n"
+
 
 class TestOtherCommands:
     def test_core_json(self, capsys, k2_file):

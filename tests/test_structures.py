@@ -22,6 +22,16 @@ class TestBasics:
         with pytest.raises(FomcError):
             Signature.make(("P", 0))
 
+    def test_signature_lookups(self):
+        sig = Signature.make(("R", 3), ("E", 2))
+        assert sig.arity("E") == 2 and sig.arity("R") == 3
+        assert "E" in sig and "P" not in sig
+        with pytest.raises(FomcError, match="^unknown relation symbol 'P'$"):
+            sig.arity("P")
+        same = Signature.make(("E", 2), ("R", 3))
+        assert sig == same and hash(sig) == hash(same)
+        assert sig != Signature.make(("E", 2), ("R", 2))
+
     def test_structure_checks_tuples(self):
         with pytest.raises(FomcError):
             Structure.make(GRAPH_SIGNATURE, 2, {"E": {(0, 1, 1)}})
