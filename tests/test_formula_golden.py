@@ -1,10 +1,12 @@
 """Golden sentence transforms: sha256 digests of the rendered output of
 ``to_nnf``, ``dualize``, ``relativise``, the two QCSP-NAE reductions and the
-``eqfree-neg`` canonical sentence.
+``eqfree-neg`` canonical sentence, and of what the read-only passes
+``check_formula`` and ``fragment_of`` report.
 
-The transforms share one rebuild helper; sharing it must not change a byte
-of any transformed sentence, nor any error message, so these tests pin both
-as the earlier hand-written recursions produced them.  The expected digests
+The transforms share one rebuild helper and the read-only passes one walk;
+sharing them must not change a byte of any transformed sentence, nor any
+error message, nor any first error or fragment, so these tests pin all of
+them as the earlier hand-written recursions produced them.  The expected digests
 live in ``golden_formulas.json`` next to this file; regenerate them only when
 a change of output is intended:
 
@@ -18,12 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from fomc import (FomcError, canonical_sentence, dualize, make_gadget,
+from fomc import (And, Eq, FomcError, Not, Or, Quant, Rel, canonical_sentence,
+                  dualize, fragment_of, make_gadget,
                   parse_formula, reduce_nae_to_k2, reduce_qcsp_nae_to_gadget,
                   relativise, render_formula, to_nnf)
-from fomc.evaluator import enumerate_sentences
+from fomc.evaluator import SamplerConfig, enumerate_sentences, sample_sentence
+from fomc.formulas import check_formula, node_count, rebuild
 from fomc.gadgets import GadgetSpec, clique
-from fomc.structures import GRAPH_SIGNATURE
+from fomc.structures import GRAPH_SIGNATURE, Signature
 
 GOLDEN = Path(__file__).with_name("golden_formulas.json")
 
@@ -53,6 +57,85 @@ def nae_sentences() -> list:
                    for _ in range(rng.randint(1, 2 * len(names)))]
         out.append(parse_formula(f"{head} {' & '.join(clauses)}"))
     return out
+
+
+MIXED_SIGNATURE = Signature.make(("P", 1), ("E", 2), ("R", 3))
+
+
+def _fault(node, rng: random.Random):
+    """``node`` with one seeded fault: an unbound name, an unknown symbol, a
+    wrong arity, a shadowing or maybe-shadowing quantifier, or a restriction
+    that may leave the domain."""
+    if isinstance(node, Rel):
+        fault = rng.choice(("unbound", "symbol", "arity"))
+        args = list(node.args)
+        if fault == "unbound":
+            at = rng.randrange(max(len(args), 1))
+            args[at:at + 1] = [rng.choice(("x0", "x5", "y"))]
+            return Rel(node.symbol, tuple(args))
+        if fault == "symbol":
+            return Rel(rng.choice(("Q", "E", "P")), node.args)
+        return Rel(node.symbol, tuple(args[1:] if rng.random() < 0.5 else args + args[:1]))
+    if isinstance(node, Eq):
+        return Eq(node.left, rng.choice(("x0", "x5", "y")))
+    if isinstance(node, Quant):
+        if rng.random() < 0.5:
+            return Quant(node.kind, node.var, node.restriction,
+                         Quant("forall", node.var, None, node.body))
+        restriction = frozenset(rng.sample(range(7), rng.randint(1, 2)))
+        return Quant(node.kind, node.var, restriction, node.body)
+    return Quant("exists", rng.choice(("x0", "x1", "x2")), None, node)
+
+
+def _mutate(formula, rng: random.Random):
+    """``formula`` with a fault at one seeded node (pre-order position)."""
+    target = rng.randrange(node_count(formula))
+    position = iter(range(target + 1))
+    return rebuild(formula, lambda node: (_fault(node, rng)
+                                          if next(position, None) == target else None))
+
+
+def checked_sentences() -> list:
+    """Seeded sentences over P/1 E/2 R/3 with negation and equality, each
+    followed by a copy with one to three seeded faults and, when it starts
+    with a quantifier, by its body with that variable left free."""
+    rng = random.Random(8080)
+    out = []
+    for _ in range(1000):
+        cfg = SamplerConfig(max_depth=rng.randint(2, 5), allow_negation=True,
+                            allow_equality=True, branch=rng.choice((2, 2, 3)))
+        f = sample_sentence(MIXED_SIGNATURE, rng, cfg)
+        out.append(f)
+        mutated = f
+        for _ in range(rng.randint(1, 3)):
+            mutated = _mutate(mutated, rng)
+        out.append(mutated)
+        if isinstance(f, Quant):
+            out.append(f.body)
+    return out
+
+
+# the argument sets the first-error digests run ``check_formula`` under
+CHECK_ARGUMENTS = {
+    "check_signature_2": ((MIXED_SIGNATURE, 2), {}),
+    "check_unchecked": ((None, None), {}),
+    "check_signature_5_free_x0": ((MIXED_SIGNATURE, 5), {"allow_free": ("x0",)}),
+}
+
+
+def _first_error(formula, args, kwargs) -> str:
+    try:
+        check_formula(formula, *args, **kwargs)
+    except FomcError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def _fragment(formula) -> str:
+    try:
+        return str(fragment_of(formula))
+    except FomcError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 # inputs each transform rejects, with the message it gives
@@ -93,6 +176,16 @@ def compute() -> dict:
     extended = family + [parse_formula(text) for text in EXTRA]
     nae = nae_sentences()
     g = make_gadget(GadgetSpec("G", (2, 2, 0, 2)))
+    checked = checked_sentences()
+    passes = {
+        key: _digest(f"{render_formula(f)}\t{_first_error(f, args, kwargs)}"
+                     for f in checked)
+        for key, (args, kwargs) in CHECK_ARGUMENTS.items()}
+    passes["fragment_nnf"] = _digest(_fragment(to_nnf(f)) for f in family)
+    passes["fragment_nnf_negated"] = _digest(_fragment(to_nnf(Not(f))) for f in family)
+    passes["fragment_sampled"] = _digest(
+        _fragment(form) for f in checked[::2]
+        for form in (f, Not(f), to_nnf(Not(f)), And((f, Or((f, Not(Eq("x0", "x0"))))))))
     return {
         "to_nnf": _digest(render_formula(to_nnf(f)) for f in extended),
         "dualize": _digest(render_formula(dualize(f)) for f in extended),
@@ -110,6 +203,7 @@ def compute() -> dict:
         "eqfree_neg_G_2_2_0_2": _digest([render_formula(canonical_sentence(g, "eqfree-neg"))]),
         "eqfree_neg_K3": _digest([render_formula(canonical_sentence(clique(3), "eqfree-neg"))]),
         "errors": [[kind, text, _error(kind, text)] for kind, text in ERROR_CASES],
+        **passes,
     }
 
 
@@ -120,7 +214,8 @@ def computed():
 
 KEYS = ("to_nnf", "dualize", "relativise", "relativise_modes", "nae_to_k2",
         "nae_to_g22", "nae_to_dhat_2_3", "eqfree_neg_G_2_2_0_2", "eqfree_neg_K3",
-        "errors")
+        "errors", *CHECK_ARGUMENTS, "fragment_nnf", "fragment_nnf_negated",
+        "fragment_sampled")
 
 
 @pytest.mark.parametrize("key", KEYS)
