@@ -17,8 +17,8 @@ from .classifier import FRAGMENT_KEYS, classify_fragment
 from .cores import classical_core, eqfree_core, ux_core
 from .errors import BudgetExceededError, FomcError, ParseError
 from .evaluator import check_relativisation, evaluate
-from .formulas import (CANONICAL_FRAGMENTS, canonical_sentence, parse_formula,
-                       relativise, render_formula, to_nnf)
+from .formulas import (CANONICAL_FRAGMENTS, DEFAULT_NODE_BUDGET, canonical_sentence,
+                       parse_formula, relativise, render_formula, to_nnf)
 from .gadgets import (GADGET_NAMES, GadgetSpec, check_gadget_params, make_gadget,
                       meta_reduction, reduce_nae_to_k2, reduce_qcsp_nae_to_gadget)
 from .lattice import enumerate_dsms, export_lattice
@@ -209,8 +209,8 @@ def _cmd_canonical(args) -> int:
         if args.fragment not in CANONICAL_FRAGMENTS:
             raise FomcError(f"canonical sentences exist for {CANONICAL_FRAGMENTS}")
         m = args.m if args.m is not None else structure.size
-        sentence = canonical_sentence(structure, args.fragment, m=m,
-                                      budget=args.budget or 10 ** 6)
+        budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
+        sentence = canonical_sentence(structure, args.fragment, m=m, budget=budget)
         text = render_formula(sentence)
         _emit({"fragment": args.fragment, "formula": text}, args.json, text)
         return EXIT_TRUE

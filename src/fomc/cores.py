@@ -17,10 +17,10 @@ from .structures import (Structure, find_morphism, induced_substructure,
                          quotient_by_sim)
 
 DEFAULT_CORE_BOUND = 6
+CLASSICAL_CORE_BOUND = DEFAULT_CORE_BOUND + 2
 
 
-def classical_core(structure: Structure,
-                   bound: int = DEFAULT_CORE_BOUND + 2) -> tuple[Structure, tuple[int, ...]]:
+def classical_core(structure: Structure) -> tuple[Structure, tuple[int, ...]]:
     """Minimum induced substructure homomorphically equivalent to the input.
 
     Returns the core and the retraction (a map from original elements to core
@@ -28,8 +28,8 @@ def classical_core(structure: Structure,
     images; the inclusion back is always a homomorphism.
     """
     n = structure.size
-    if n > bound:
-        raise BudgetExceededError(f"domain size {n} exceeds core bound {bound}")
+    if n > CLASSICAL_CORE_BOUND:
+        raise BudgetExceededError(f"domain size {n} exceeds core bound {CLASSICAL_CORE_BOUND}")
     for k in range(1, n + 1):
         for keep in itertools.combinations(range(n), k):
             candidate, _ = induced_substructure(structure, keep)
@@ -87,7 +87,7 @@ def minimal_x_sets(structure: Structure) -> tuple[int, list[tuple[int, ...]]]:
     return _minimal_sets(structure, "X-total")
 
 
-def ux_core(structure: Structure, bound: int = DEFAULT_CORE_BOUND) -> UXCore:
+def ux_core(structure: Structure) -> UXCore:
     """Compute the U-X-core.
 
     Exact subset sweep: minimise |U| and |X| independently, then maximise
@@ -95,8 +95,9 @@ def ux_core(structure: Structure, bound: int = DEFAULT_CORE_BOUND) -> UXCore:
     is the substructure induced by U | X with the canonical shop attached.
     """
     n = structure.size
-    if n > bound:
-        raise BudgetExceededError(f"domain size {n} exceeds U-X-core bound {bound}")
+    if n > DEFAULT_CORE_BOUND:
+        raise BudgetExceededError(
+            f"domain size {n} exceeds U-X-core bound {DEFAULT_CORE_BOUND}")
     _, u_sets = minimal_u_sets(structure)
     _, x_sets = minimal_x_sets(structure)
     best_key = None

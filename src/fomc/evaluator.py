@@ -454,7 +454,6 @@ class SamplerConfig:
     branch: int = 2
     allow_negation: bool = False
     allow_equality: bool = False
-    connectives: tuple[str, ...] = ("and", "or")
 
 
 def sample_sentence(signature, rng: random.Random,
@@ -486,18 +485,17 @@ def sample_sentence(signature, rng: random.Random,
             kind = rng.choice(("exists", "forall"))
             var = f"x{len(scope)}"
             return Quant(kind, var, None, gen(depth - 1, scope + [var]))
-        connective = rng.choice(cfg.connectives)
+        connective = rng.choice(("and", "or"))
         children = tuple(gen(depth - 1, scope) for _ in range(cfg.branch))
         return And(children) if connective == "and" else Or(children)
 
     return gen(cfg.max_depth, [])
 
 
-def enumerate_sentences(signature, max_height: int,
-                        max_scope: int = 2,
-                        include_equality: bool = True,
-                        include_negation: bool = True) -> Iterator[Formula]:
-    """Every quantifier-rooted sentence up to an AST height, small scopes only.
+def enumerate_sentences(signature, max_height: int) -> Iterator[Formula]:
+    """Every quantifier-rooted sentence up to an AST height, with at most two
+    variables in scope; atoms come with their negations and equalities with
+    their disequalities.
 
     The family is deterministic, which makes exhaustive duality and reduction
     sweeps reproducible.
@@ -511,13 +509,11 @@ def enumerate_sentences(signature, max_height: int,
             for sym, arity in signature.symbols:
                 for combo in itertools.product(scope, repeat=arity):
                     out.append(Rel(sym, combo))
-                    if include_negation:
-                        out.append(Not(Rel(sym, combo)))
-            if include_equality:
-                for a in scope:
-                    for b in scope:
-                        out.append(Eq(a, b))
-                        out.append(Not(Eq(a, b)))
+                    out.append(Not(Rel(sym, combo)))
+            for a in scope:
+                for b in scope:
+                    out.append(Eq(a, b))
+                    out.append(Not(Eq(a, b)))
             atom_cache[scope_size] = out
         return atom_cache[scope_size]
 
@@ -529,7 +525,7 @@ def enumerate_sentences(signature, max_height: int,
             return level_cache[key]
         out = list(atoms(scope_size)) if scope_size else []
         if height > 0:
-            if scope_size < max_scope:
+            if scope_size < 2:
                 var_body = level(height - 1, scope_size + 1)
                 for kind in ("exists", "forall"):
                     out.extend(Quant(kind, f"x{scope_size}", None, b)
@@ -570,6 +566,8 @@ def check_relativisation(structure: Structure, U: Iterable[int], X: Iterable[int
                          config: SamplerConfig | None = None) -> RelativisationReport:
     """Compare evaluation across the four relativisation modes on sampled
     positive equality-free sentences; lists any disagreements."""
+    if samples < 1:
+        raise FomcError(f"need at least one sample, got {samples}")
     U = tuple(sorted(set(U)))
     X = tuple(sorted(set(X)))
     rng = random.Random(seed)

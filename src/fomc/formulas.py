@@ -14,10 +14,13 @@ constants; the canonical-sentence builders need them for structures with no
 facts, where the conjunction of positive facts is empty.  Parsing rejects
 unbound and shadowed variables, so every parsed formula is a sentence.
 
-Every sentence transform (``to_nnf``, ``dualize``, ``relativise`` and the
-NAE reductions in ``gadgets``) is a ``visit`` function over one walk,
-``rebuild``: the visit handles the nodes it changes and returns None for the
-rest, which ``rebuild`` copies with rebuilt children.
+Every read-only pass (``check_formula``, ``fragment_of``, ``node_count`` and
+the prenex checks in ``gadgets``) is a loop over one iterative walk,
+``walk``, which yields each node with the variables bound above it.  Every
+sentence transform (``to_nnf``, ``dualize``, ``relativise`` and the NAE
+reductions in ``gadgets``) is a ``visit`` function over ``rebuild``: the
+visit handles the nodes it changes and returns None for the rest, which
+``rebuild`` copies with rebuilt children.
 """
 
 from __future__ import annotations
@@ -136,38 +139,25 @@ def forall_block(variables: Sequence[str], body: Formula,
     return body
 
 
-def walk(formula: Formula) -> Iterator[Formula]:
-    """Every node, in pre-order, children left to right."""
-    stack = [formula]
+def walk(formula: Formula) -> Iterator[tuple[Formula, frozenset[str]]]:
+    """Every node with the variables its enclosing quantifiers bind, in
+    pre-order, children left to right: a node's first child comes right
+    after it."""
+    stack = [(formula, frozenset())]
     while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.extend(reversed(node.children))
-        elif isinstance(node, Quant):
-            stack.append(node.body)
+        item = node, bound = stack.pop()
+        yield item
+        kind = type(node)
+        if kind is Not:
+            stack.append((node.child, bound))
+        elif kind is And or kind is Or:
+            stack.extend([(c, bound) for c in reversed(node.children)])
+        elif kind is Quant:
+            stack.append((node.body, bound | {node.var}))
 
 
 def node_count(formula: Formula) -> int:
     return sum(1 for _ in walk(formula))
-
-
-def free_variables(formula: Formula) -> frozenset[str]:
-    if isinstance(formula, (Top, Bottom)):
-        return frozenset()
-    if isinstance(formula, Rel):
-        return frozenset(formula.args)
-    if isinstance(formula, Eq):
-        return frozenset((formula.left, formula.right))
-    if isinstance(formula, Not):
-        return free_variables(formula.child)
-    if isinstance(formula, (And, Or)):
-        return frozenset().union(*(free_variables(c) for c in formula.children))
-    if isinstance(formula, Quant):
-        return free_variables(formula.body) - {formula.var}
-    raise FormulaError(f"unknown node {formula!r}")
 
 
 def check_formula(formula: Formula, signature: Optional["Signature"] = None,
@@ -176,44 +166,32 @@ def check_formula(formula: Formula, signature: Optional["Signature"] = None,
     """Validate closedness (minus ``allow_free``), no-shadowing, and, when a
     signature or domain size is given, arities and restriction ranges."""
     allow = frozenset(allow_free)
-
-    def rec(node: Formula, bound: frozenset[str]):
-        if isinstance(node, (Top, Bottom)):
-            return
-        if isinstance(node, Rel):
+    for node, bound in walk(formula):
+        kind = type(node)
+        if kind is Rel:
             if signature is not None:
                 if node.symbol not in signature:
                     raise FormulaError(f"unknown relation symbol {node.symbol!r}")
                 if signature.arity(node.symbol) != len(node.args):
                     raise FormulaError(
                         f"arity mismatch for {node.symbol!r}: got {len(node.args)}")
-            for v in node.args:
-                if v not in bound and v not in allow:
-                    raise FormulaError(f"unbound variable {v!r}")
-            return
-        if isinstance(node, Eq):
-            for v in (node.left, node.right):
-                if v not in bound and v not in allow:
-                    raise FormulaError(f"unbound variable {v!r}")
-            return
-        if isinstance(node, Not):
-            rec(node.child, bound)
-            return
-        if isinstance(node, (And, Or)):
-            for c in node.children:
-                rec(c, bound)
-            return
-        if isinstance(node, Quant):
+            names = node.args
+        elif kind is Eq:
+            names = (node.left, node.right)
+        elif kind is Quant:
             if node.var in bound:
                 raise FormulaError(f"shadowed variable {node.var!r}")
             if node.restriction is not None and domain_size is not None:
                 if any(not (0 <= e < domain_size) for e in node.restriction):
                     raise FormulaError("restriction outside the domain")
-            rec(node.body, bound | {node.var})
-            return
-        raise FormulaError(f"unknown node {node!r}")
-
-    rec(formula, frozenset())
+            continue
+        elif kind in (Not, And, Or, Top, Bottom):
+            continue
+        else:
+            raise FormulaError(f"unknown node {node!r}")
+        for v in names:
+            if v not in bound and v not in allow:
+                raise FormulaError(f"unbound variable {v!r}")
 
 
 # -- fragments -----------------------------------------------------------------
@@ -240,37 +218,28 @@ def fragment_of(formula: Formula) -> FragmentKey:
     quantifiers: set[str] = set()
     connectives: set[str] = set()
     extras: set[str] = set()
-
-    def rec(node: Formula):
-        if isinstance(node, (Top, Bottom)):
-            return
-        if isinstance(node, Rel):
-            return
-        if isinstance(node, Eq):
+    nodes = walk(formula)
+    for node, _ in nodes:
+        kind = type(node)
+        if kind is Quant:
+            quantifiers.add(node.kind)
+        elif kind is And:
+            connectives.add("and")
+        elif kind is Or:
+            connectives.add("or")
+        elif kind is Eq:
             extras.add("eq")
-            return
-        if isinstance(node, Not):
-            if isinstance(node.child, Eq):
+        elif kind is Not:
+            child = type(node.child)
+            if child is Eq:
                 extras.add("neq")
-            elif isinstance(node.child, Rel):
+            elif child is Rel:
                 extras.add("neg")
             else:
                 raise FormulaError("fragment_of expects an NNF formula")
-            return
-        if isinstance(node, And):
-            connectives.add("and")
-        elif isinstance(node, Or):
-            connectives.add("or")
-        elif isinstance(node, Quant):
-            quantifiers.add(node.kind)
-            rec(node.body)
-            return
-        else:
+            next(nodes)  # the negated atom: counted as "neq" or "neg" already
+        elif kind not in (Rel, Top, Bottom):
             raise FormulaError(f"unknown node {node!r}")
-        for c in node.children:
-            rec(c)
-
-    rec(formula)
     return FragmentKey(frozenset(quantifiers), frozenset(connectives), frozenset(extras))
 
 
@@ -490,8 +459,7 @@ def _fresh_names(prefix: str, count: int, avoid: set[str]) -> list[str]:
 
 
 def defining_formula(structure: "Structure", relation: Iterable[Sequence[int]],
-                     arity: int, budget: int = DEFAULT_NODE_BUDGET,
-                     enumeration_bound: int = 6) -> Optional[Formula]:
+                     arity: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[Formula]:
     """A positive equality-free definition of ``relation`` over ``structure``,
     or None when one cannot exist.
 
@@ -506,7 +474,7 @@ def defining_formula(structure: "Structure", relation: Iterable[Sequence[int]],
     for t in tuples:
         if len(t) != arity or any(not (0 <= e < structure.size) for e in t):
             raise FomcError(f"bad relation tuple {t}")
-    she = enumerate_she(structure, bound=enumeration_bound)
+    she = enumerate_she(structure)
     rel_set = frozenset(tuples)
     for f in she:
         for t in rel_set:

@@ -238,7 +238,7 @@ def _require_nae_prenex(formula: Formula) -> tuple[list[tuple[str, str]], Formul
             raise FomcError("expected an unrelativised prenex sentence")
         prefix.append((node.kind, node.var))
         node = node.body
-    for sub in walk(node):
+    for sub, _ in walk(node):
         if isinstance(sub, Quant):
             raise FomcError("quantifier inside the matrix; sentence is not prenex")
         if isinstance(sub, Rel) and sub.symbol != "NAE":
@@ -285,7 +285,7 @@ def reduce_qcsp_nae_to_gadget(formula: Formula, target: str = "G22",
         j = k = 2
     prefix, matrix = _require_nae_prenex(formula)
     clauses: list[Rel] = []
-    for node in walk(matrix):
+    for node, _ in walk(matrix):
         if isinstance(node, Rel):
             clauses.append(node)
         elif not isinstance(node, And):

@@ -31,13 +31,13 @@ MAX_ALL_SHOPS = 5
 MAX_CENSUS = 3
 
 
-def all_shops(n: int, bound: int = MAX_ALL_SHOPS) -> tuple[HyperMap, ...]:
+def all_shops(n: int) -> tuple[HyperMap, ...]:
     """Every total surjective hyper-operation on n elements, canonical order.
 
     The count grows like (2^n - 1)^n; n = 5 is already about 25 million maps
     and takes a while, anything larger is refused.
     """
-    if n > bound:
+    if n > MAX_ALL_SHOPS:
         raise BudgetExceededError(f"cannot materialise all shops on {n} elements")
     if n < 1:
         raise FomcError(f"domain size must be positive, got {n}")
@@ -161,11 +161,11 @@ class _LazyRow(dict):
         return got
 
 
-def enumerate_dsms(n: int, bound: int = MAX_CENSUS, force: bool = False) -> list[LatticeNode]:
+def enumerate_dsms(n: int, force: bool = False) -> list[LatticeNode]:
     """All DSMs on n elements as lattice nodes with tags and cover edges,
     found by the upward search over upper covers (see the module doc)."""
-    if n > bound and not force:
-        raise BudgetExceededError(f"census bound is {bound} elements")
+    if n > MAX_CENSUS and not force:
+        raise BudgetExceededError(f"census bound is {MAX_CENSUS} elements")
     tables = _GroundTables(n)
     sub = tables.sub
     full = (1 << len(tables.ground)) - 1

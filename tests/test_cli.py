@@ -83,6 +83,16 @@ class TestEval:
         doc = validate(out, "relativisation.schema.json")
         assert doc["counterexamples"] == []
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_check_relativisation_without_samples_exits_2(self, capsys, k2_file,
+                                                          sentence_file, samples):
+        code, out, err = run_cli(capsys, "eval", "--structure", k2_file,
+                                 "--sentence", sentence_file,
+                                 "--check-relativisation", "U=0", "X=1",
+                                 "--seed", "1", f"--samples={samples}")
+        assert code == 2 and out == ""
+        assert err == f"error: need at least one sample, got {samples}\n"
+
     def test_missing_file(self, capsys, sentence_file):
         code, _, err = run_cli(capsys, "eval", "--structure", "/nope.fms",
                                "--sentence", sentence_file)
@@ -232,6 +242,14 @@ class TestOtherCommands:
                                "--fragment", "pp", "--json")
         doc = validate(out, "canonical.schema.json")
         assert doc["formula"].startswith("exists v0.")
+
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_canonical_sentence_budget_is_a_limit(self, capsys, k2_file, budget):
+        code, out, err = run_cli(capsys, "canonical", "--structure", k2_file,
+                                 "--fragment", "pos-eqfree", "--m", "1",
+                                 "--budget", budget)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_canonical_shop(self, capsys, k2_file):
         code, out, _ = run_cli(capsys, "canonical", "--structure", k2_file,

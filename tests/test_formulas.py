@@ -9,7 +9,7 @@ from fomc import (And, BudgetExceededError, Eq, Not, Or,
                   render_formula, sim_formula, to_nnf)
 from fomc.evaluator import SamplerConfig, sample_sentence
 from fomc.errors import FormulaError
-from fomc.formulas import TOP, BOTTOM, Formula, free_variables, rebuild
+from fomc.formulas import TOP, BOTTOM, Formula, check_formula, node_count, rebuild
 from fomc.structures import GRAPH_SIGNATURE
 
 from conftest import random_structure
@@ -149,7 +149,6 @@ class TestNnf:
         for _ in range(100):
             f = sample_sentence(GRAPH_SIGNATURE, rng, cfg)
             check_formula(to_nnf(Not(f)))
-            assert not free_variables(to_nnf(Not(f)))
 
 
 class TestDualize:
@@ -194,6 +193,31 @@ class TestFragmentOf:
         key = fragment_of(canonical_sentence(k2, "pp-neq"))
         assert key.extras == {"neq"}
         assert key.quantifiers == {"exists"}
+
+
+class TestDeepFormulas:
+    """The read-only passes loop over one explicit stack, so nesting depth is
+    not bounded by the interpreter's recursion limit."""
+
+    DEPTH = 3000
+
+    def test_quantifier_chain(self):
+        names = [f"x{i}" for i in range(self.DEPTH)]
+        f = And((Rel("E", (names[0], names[-1])), Not(Eq(names[1], names[2]))))
+        for i, var in reversed(list(enumerate(names))):
+            f = Quant("forall" if i % 2 else "exists", var, frozenset({i % 2}), f)
+        check_formula(f, GRAPH_SIGNATURE, 2)
+        assert str(fragment_of(f)) == "{E,A,&,!=}"
+        assert node_count(f) == self.DEPTH + 4
+
+    def test_and_chain(self):
+        f = Rel("E", ("x", "x"))
+        for _ in range(self.DEPTH):
+            f = And((Rel("E", ("x", "x")), f))
+        f = Quant("exists", "x", None, f)
+        check_formula(f, GRAPH_SIGNATURE, 2)
+        assert str(fragment_of(f)) == "{E,&}"
+        assert node_count(f) == 2 * self.DEPTH + 2
 
 
 class TestRelativise:
