@@ -174,6 +174,7 @@ def _error(kind: str, text: str) -> str:
 def compute() -> dict:
     family = sentences()
     extended = family + [parse_formula(text) for text in EXTRA]
+    nnf = [to_nnf(f) for f in family]
     nae = nae_sentences()
     g = make_gadget(GadgetSpec("G", (2, 2, 0, 2)))
     checked = checked_sentences()
@@ -181,7 +182,7 @@ def compute() -> dict:
         key: _digest(f"{render_formula(f)}\t{_first_error(f, args, kwargs)}"
                      for f in checked)
         for key, (args, kwargs) in CHECK_ARGUMENTS.items()}
-    passes["fragment_nnf"] = _digest(_fragment(to_nnf(f)) for f in family)
+    passes["fragment_nnf"] = _digest(_fragment(f) for f in nnf)
     passes["fragment_nnf_negated"] = _digest(_fragment(to_nnf(Not(f))) for f in family)
     passes["fragment_sampled"] = _digest(
         _fragment(form) for f in checked[::2]
@@ -189,12 +190,12 @@ def compute() -> dict:
     return {
         "to_nnf": _digest(render_formula(to_nnf(f)) for f in extended),
         "dualize": _digest(render_formula(dualize(f)) for f in extended),
-        "relativise": _digest(render_formula(relativise(to_nnf(f), {0, 1}, {1}, "both"))
-                              for f in family),
+        "relativise": _digest(render_formula(relativise(f, {0, 1}, {1}, "both"))
+                              for f in nnf),
         "relativise_modes": _digest(
-            render_formula(relativise(relativise(to_nnf(f), {0, 1, 2}, {1, 2}, mode),
+            render_formula(relativise(relativise(f, {0, 1, 2}, {1, 2}, mode),
                                       {0, 2}, {2}, "both"))
-            for f in family for mode in ("universalOnly", "existentialOnly")),
+            for f in nnf for mode in ("universalOnly", "existentialOnly")),
         "nae_to_k2": _digest(render_formula(reduce_nae_to_k2(f)) for f in nae),
         "nae_to_g22": _digest(render_formula(reduce_qcsp_nae_to_gadget(f, "G22"))
                               for f in nae),
