@@ -1,12 +1,15 @@
 """Golden sentence transforms: sha256 digests of the rendered output of
 ``to_nnf``, ``dualize``, ``relativise``, the two QCSP-NAE reductions and the
-``eqfree-neg`` canonical sentence, and of what the read-only passes
-``check_formula`` and ``fragment_of`` report.
+``eqfree-neg`` canonical sentence, of what the read-only passes
+``check_formula`` and ``fragment_of`` report, and of what ``parse_formula``
+makes of a seeded corpus of texts, valid and not.
 
 The transforms share one rebuild helper and the read-only passes one walk;
 sharing them must not change a byte of any transformed sentence, nor any
 error message, nor any first error or fragment, so these tests pin all of
-them as the earlier hand-written recursions produced them.  The expected digests
+them as the earlier hand-written recursions produced them.  The parser
+digests pin each parsed sentence, or else each error's message, line and
+column, as the character-by-character tokenizer reported them.  The expected digests
 live in ``golden_formulas.json`` next to this file; regenerate them only when
 a change of output is intended:
 
@@ -16,6 +19,7 @@ a change of output is intended:
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -138,6 +142,75 @@ def _fragment(formula) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+# what the parser corpus is made of: the characters and tokens of valid
+# sentences and ones the grammar rejects, among them a non-ASCII letter and
+# digit, "_" outside a name, "$", "!" without "=" and the control character
+# \x1c, which counts as whitespace
+PARSE_CHARS = "xyE01 \n\t(){},.&|~=!_$\u00e9\u0663\x1c"
+PARSE_TOKENS = ("forall", "exists", "in", "true", "false", "x0", "x1", "y", "E", "F",
+                "NAE", "x_1", "Ab9", "0", "1", "2", "007", "\u0663", "(", ")", "{",
+                "}", ",", ".", "&", "|", "~", "=", "!=", "!", "_", "$", "\u00e9",
+                "\x1c")
+PARSE_BLANKS = ("", " ", " ", "  ", "\n", "\t", "\r\n", "\x1c")
+RESTRICTIONS = ("{0}", "{1, 0}", "{0,2}", "{ 1 }", "{\u0663}", "{007}")
+
+# the argument sets the parser digests run ``parse_formula`` under
+PARSE_ARGUMENTS = {
+    "parse_unchecked": (None, None),
+    "parse_graph_2": (GRAPH_SIGNATURE, 2),
+}
+
+
+def _valid_text(rng: random.Random) -> str:
+    """A sampled sentence over E/2 with equality and negation, some of its
+    quantifiers restricted, its blanks drawn from PARSE_BLANKS."""
+    cfg = SamplerConfig(max_depth=rng.randint(1, 4), allow_negation=True,
+                        allow_equality=True)
+    text = render_formula(sample_sentence(GRAPH_SIGNATURE, rng, cfg))
+    text = re.sub(r"(forall|exists) (x\d+)\.",
+                  lambda m: (f"{m[1]} {m[2]} in {rng.choice(RESTRICTIONS)}."
+                             if rng.random() < 0.3 else m[0]), text)
+    return "".join(word + rng.choice(PARSE_BLANKS[1:]) for word in text.split(" "))
+
+
+def _edit(text: str, rng: random.Random) -> str:
+    """``text`` with one seeded character or token inserted, deleted or
+    replaced."""
+    at = rng.randrange(len(text) + 1)
+    edit = rng.choice(("insert", "delete", "replace", "token"))
+    if edit == "insert":
+        return text[:at] + rng.choice(PARSE_CHARS) + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    if edit == "replace":
+        return text[:at] + rng.choice(PARSE_CHARS) + text[at + 1:]
+    return text[:at] + rng.choice(PARSE_BLANKS) + rng.choice(PARSE_TOKENS) + text[at:]
+
+
+def parse_texts() -> list:
+    """Seeded texts for the parser, in threes: a valid sentence, a copy with
+    one to three seeded edits, and a soup of up to 24 tokens."""
+    rng = random.Random(9191)
+    out = []
+    for _ in range(7000):
+        valid = _valid_text(rng)
+        mutated = valid
+        for _ in range(rng.randint(1, 3)):
+            mutated = _edit(mutated, rng)
+        soup = "".join(rng.choice(PARSE_TOKENS) + rng.choice(PARSE_BLANKS)
+                       for _ in range(rng.randint(0, 24)))
+        out += [valid, mutated, soup]
+    return out
+
+
+def _parsed(text: str, args) -> str:
+    try:
+        return render_formula(parse_formula(text, *args))
+    except FomcError as exc:
+        return (f"{type(exc).__name__}: {exc}\t"
+                f"{getattr(exc, 'line', None)}\t{getattr(exc, 'column', None)}")
+
+
 # inputs each transform rejects, with the message it gives
 ERROR_CASES = (
     ("k2", "exists x. E(x,x)"),
@@ -182,6 +255,9 @@ def compute() -> dict:
         key: _digest(f"{render_formula(f)}\t{_first_error(f, args, kwargs)}"
                      for f in checked)
         for key, (args, kwargs) in CHECK_ARGUMENTS.items()}
+    texts = parse_texts()
+    passes.update({key: _digest(_parsed(text, args) for text in texts)
+                   for key, args in PARSE_ARGUMENTS.items()})
     passes["fragment_nnf"] = _digest(_fragment(f) for f in nnf)
     passes["fragment_nnf_negated"] = _digest(_fragment(to_nnf(Not(f))) for f in family)
     passes["fragment_sampled"] = _digest(
@@ -216,7 +292,7 @@ def computed():
 KEYS = ("to_nnf", "dualize", "relativise", "relativise_modes", "nae_to_k2",
         "nae_to_g22", "nae_to_dhat_2_3", "eqfree_neg_G_2_2_0_2", "eqfree_neg_K3",
         "errors", *CHECK_ARGUMENTS, "fragment_nnf", "fragment_nnf_negated",
-        "fragment_sampled")
+        "fragment_sampled", *PARSE_ARGUMENTS)
 
 
 @pytest.mark.parametrize("key", KEYS)
