@@ -32,12 +32,12 @@ EXIT_BUDGET = 3
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FomcError(f"cannot read {path}: {exc}") from exc
 
 
@@ -216,6 +216,8 @@ def _cmd_canonical(args) -> int:
         return EXIT_TRUE
     if args.U is None or args.X is None:
         raise FomcError("canonical needs --fragment or both --U and --X")
+    if args.budget is not None:
+        raise FomcError("--budget bounds canonical sentences, not the --U/--X shop")
     U = _parse_elements(args.U)
     X = _parse_elements(args.X)
     shop = canonical_shop(structure, U, X)

@@ -562,8 +562,7 @@ class RelativisationReport:
 
 
 def check_relativisation(structure: Structure, U: Iterable[int], X: Iterable[int],
-                         samples: int = 200, seed: int = 0,
-                         config: SamplerConfig | None = None) -> RelativisationReport:
+                         samples: int = 200, seed: int = 0) -> RelativisationReport:
     """Compare evaluation across the four relativisation modes on sampled
     positive equality-free sentences; lists any disagreements."""
     if samples < 1:
@@ -573,7 +572,7 @@ def check_relativisation(structure: Structure, U: Iterable[int], X: Iterable[int
     rng = random.Random(seed)
     report = RelativisationReport(structure.name or "structure", U, X, samples)
     for _ in range(samples):
-        sentence = sample_sentence(structure.signature, rng, config)
+        sentence = sample_sentence(structure.signature, rng)
         results = []
         for mode in RELATIVISATION_MODES:
             candidate = sentence if mode == "none" else relativise(sentence, U, X, mode)

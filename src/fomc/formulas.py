@@ -25,7 +25,6 @@ visit handles the nodes it changes and returns None for the rest, which
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -394,8 +393,23 @@ def canonical_sentence(structure: "Structure", fragment: str,
                  of surjective hyper-morphisms from ``structure``; ``m`` is
                  the universal block width (callers pass the intended target
                  size).
+
+    ``budget`` bounds the fact scan, the index tuples whose facts the
+    sentence is built from; a larger scan raises ``BudgetExceededError``
+    before anything is built.
     """
+    if fragment not in CANONICAL_FRAGMENTS:
+        raise FomcError(f"unknown canonical fragment {fragment!r}")
     n = structure.size
+    arities = [arity for _, arity in structure.signature.symbols]
+    if fragment == "pos-eqfree":
+        if m is None or m < 1:
+            raise FomcError("pos-eqfree needs a universal block width m >= 1")
+        cost = (n ** m) * max(sum((n + m) ** a for a in arities), 1)
+    else:
+        cost = sum(n ** a for a in arities) * (2 if fragment == "eqfree-neg" else 1)
+    if cost > budget:
+        raise BudgetExceededError(f"canonical sentence would need about {cost} atoms")
     vs = [f"v{i}" for i in range(n)]
     elements = list(range(n))
     if fragment == "pp":
@@ -411,22 +425,14 @@ def canonical_sentence(structure: "Structure", fragment: str,
         clauses = [sim_formula(structure.signature, "w", v) for v in vs]
         body = conj(atoms + [Quant("forall", "w", None, disj(clauses))])
         return exists_block(vs, body)
-    if fragment == "pos-eqfree":
-        if m is None or m < 1:
-            raise FomcError("pos-eqfree needs a universal block width m >= 1")
-        arity_cost = sum((n + m) ** arity for _, arity in structure.signature.symbols)
-        if (n ** m) * max(arity_cost, 1) > budget:
-            raise BudgetExceededError(
-                f"canonical sentence would need about {(n ** m) * arity_cost} atoms")
-        ws = [f"w{i}" for i in range(m)]
-        names = vs + ws
-        disjuncts = []
-        for t in itertools.product(range(n), repeat=m):
-            disjuncts.append(conj(positive_facts(structure, elements + list(t), names)))
-        body = conj(positive_facts(structure, elements, vs)
-                    + [forall_block(ws, disj(disjuncts))])
-        return exists_block(vs, body)
-    raise FomcError(f"unknown canonical fragment {fragment!r}")
+    ws = [f"w{i}" for i in range(m)]
+    names = vs + ws
+    disjuncts = []
+    for t in itertools.product(range(n), repeat=m):
+        disjuncts.append(conj(positive_facts(structure, elements + list(t), names)))
+    body = conj(positive_facts(structure, elements, vs)
+                + [forall_block(ws, disj(disjuncts))])
+    return exists_block(vs, body)
 
 
 def sim_formula(signature: "Signature", x: str, y: str) -> Formula:
@@ -508,166 +514,149 @@ def defining_formula(structure: "Structure", relation: Iterable[Sequence[int]],
 
 # -- parser ----------------------------------------------------------------------
 
-_TOKEN = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)|"
-                    r"(?P<op>!=|[().,&|~={}])")
+# A token is a name or keyword, an element, an operator or, in the second
+# group, any other non-blank character, which no sentence may contain; only
+# blanks are left between the matches.
+_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*|\d+|!=|[().,&|~={}])|(\S)")
 _KEYWORDS = {"forall", "exists", "in", "true", "false"}
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-
-    def linecol(pos: int) -> tuple[int, int]:
-        idx = bisect.bisect_right(line_starts, pos) - 1
-        return idx + 1, pos - line_starts[idx] + 1
-
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            line, column = linecol(pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
-        kind = match.lastgroup
-        tok_text = match.group(kind)
-        if kind == "name" and tok_text in _KEYWORDS:
-            kind = tok_text
-        line, column = linecol(pos)
-        tokens.append(_Token(kind, tok_text, line, column))
-        pos = match.end()
-    line, column = linecol(len(text))
-    tokens.append(_Token("eof", "", line, column))
-    return tokens
+def _is_name(token: str) -> bool:
+    return token[:1].isalpha() and token not in _KEYWORDS
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the token strings of ``text``; the empty string
+    ends the input."""
+
+    def __init__(self, text: str):
+        self.text = text
+        parts = _TOKEN.split(text)
+        strays = parts[2::3]
+        if any(strays):
+            index = next(i for i, char in enumerate(strays) if char)
+            raise self.error(f"unexpected character {strays[index]!r}", index)
+        self.tokens = parts[1::3]
+        self.tokens.append("")
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at the line and column of token ``index``."""
+        match = next(itertools.islice(_TOKEN.finditer(self.text), index, None), None)
+        offset = len(self.text) if match is None else match.start()
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return ParseError(message, self.text.count("\n", 0, line_start) + 1,
+                          offset - line_start + 1)
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
+        token = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return token
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
-        return tok
+    def expect(self, token: str, message: str) -> None:
+        if self.next() != token:
+            raise self.error(message, self.pos - 1)
+
+    def take(self, valid: Callable[[str], bool], what: str) -> str:
+        token = self.next()
+        if not valid(token):
+            raise self.error(f"expected {what}, found {token or 'end of input'!r}",
+                             self.pos - 1)
+        return token
+
+    def element(self) -> int:
+        token = self.take(str.isdigit, "an element")
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            raise self.error(f"element with {len(token)} digits is too large",
+                             self.pos - 1) from None
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind in ("forall", "exists"):
+        if self.peek() in ("forall", "exists"):
             return self.quantified()
         return self.disjunction()
 
     def quantified(self) -> Formula:
-        q = self.next()
-        var = self.expect("name", "a variable").text
+        kind = self.next()
+        var = self.take(_is_name, "a variable")
         restriction = None
-        if self.peek().kind == "in":
+        if self.peek() == "in":
             self.next()
-            brace = self.next()
-            if brace.text != "{":
-                raise ParseError("expected '{'", brace.line, brace.column)
-            elems = [int(self.expect("num", "an element").text)]
-            while self.peek().text == ",":
+            self.expect("{", "expected '{'")
+            elems = [self.element()]
+            while self.peek() == ",":
                 self.next()
-                elems.append(int(self.expect("num", "an element").text))
-            closing = self.next()
-            if closing.text != "}":
-                raise ParseError("expected '}'", closing.line, closing.column)
+                elems.append(self.element())
+            self.expect("}", "expected '}'")
             restriction = frozenset(elems)
-        dot = self.next()
-        if dot.text != ".":
-            raise ParseError("expected '.' after quantifier",
-                             dot.line, dot.column)
-        return Quant(q.kind, var, restriction, self.formula())
+        self.expect(".", "expected '.' after quantifier")
+        return Quant(kind, var, restriction, self.formula())
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while self.peek().text == "|":
+        while self.peek() == "|":
             self.next()
             parts.append(self.conjunction())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def conjunction(self) -> Formula:
         parts = [self.unit()]
-        while self.peek().text == "&":
+        while self.peek() == "&":
             self.next()
             parts.append(self.unit())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unit(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "~":
+        token = self.peek()
+        if token == "~":
             self.next()
             return Not(self.unit())
-        if tok.text == "(":
+        if token == "(":
             self.next()
             inner = self.formula()
-            closing = self.next()
-            if closing.text != ")":
-                raise ParseError("expected ')'", closing.line, closing.column)
+            self.expect(")", "expected ')'")
             return inner
-        if tok.kind == "true":
+        if token == "true":
             self.next()
             return TOP
-        if tok.kind == "false":
+        if token == "false":
             self.next()
             return BOTTOM
-        if tok.kind == "name":
+        if _is_name(token):
             return self.atom()
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+        raise self.error(f"unexpected token {token!r}", self.pos)
 
     def atom(self) -> Formula:
-        first = self.expect("name", "an identifier")
-        tok = self.peek()
-        if tok.text == "(":
+        first = self.next()
+        token = self.peek()
+        if token == "(":
             self.next()
-            args = [self.expect("name", "a variable").text]
-            while self.peek().text == ",":
+            args = [self.take(_is_name, "a variable")]
+            while self.peek() == ",":
                 self.next()
-                args.append(self.expect("name", "a variable").text)
-            closing = self.next()
-            if closing.text != ")":
-                raise ParseError("expected ')'", closing.line, closing.column)
-            return Rel(first.text, tuple(args))
-        if tok.text == "=":
+                args.append(self.take(_is_name, "a variable"))
+            self.expect(")", "expected ')'")
+            return Rel(first, tuple(args))
+        if token == "=":
             self.next()
-            other = self.expect("name", "a variable").text
-            return Eq(first.text, other)
-        if tok.text == "!=":
+            return Eq(first, self.take(_is_name, "a variable"))
+        if token == "!=":
             self.next()
-            other = self.expect("name", "a variable").text
-            return Not(Eq(first.text, other))
-        raise ParseError(f"expected an atom after {first.text!r}",
-                         tok.line, tok.column)
+            return Not(Eq(first, self.take(_is_name, "a variable")))
+        raise self.error(f"expected an atom after {first!r}", self.pos)
 
 
 def parse_formula(text: str, signature: Optional["Signature"] = None,
                   domain_size: Optional[int] = None) -> Formula:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     formula = parser.formula()
     trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}",
-                         trailing.line, trailing.column)
+    if trailing:
+        raise parser.error(f"unexpected trailing input {trailing!r}", parser.pos)
     try:
         check_formula(formula, signature, domain_size)
     except FormulaError as exc:

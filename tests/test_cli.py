@@ -98,6 +98,23 @@ class TestEval:
                                "--sentence", sentence_file)
         assert code == 2 and "error" in err
 
+    def test_unreadable_encoding_exits_2(self, capsys, tmp_path, k2_file):
+        path = tmp_path / "utf16.fml"
+        path.write_bytes(b"\xff\xfeexists x. E(x,x)")
+        code, out, err = run_cli(capsys, "eval", "--structure", k2_file,
+                                 "--sentence", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+    def test_huge_element_exits_2(self, capsys, tmp_path, k2_file):
+        path = tmp_path / "huge.fml"
+        path.write_text("exists x in {" + "9" * 5000 + "}. E(x,x)")
+        code, out, err = run_cli(capsys, "eval", "--structure", k2_file,
+                                 "--sentence", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: element with 5000 digits is too large"
+                       " (line 1, column 14)\n")
+
     def test_budget_exit_code(self, capsys, tmp_path):
         gadget = make_gadget(GadgetSpec("Kn", (3,)))
         spath = tmp_path / "k3.fms"
@@ -249,6 +266,22 @@ class TestOtherCommands:
                                  "--fragment", "pos-eqfree", "--m", "1",
                                  "--budget", budget)
         assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fragment", ["pp", "pp-neq", "eqfree-neg"])
+    def test_canonical_budget_binds_every_fragment(self, capsys, k2_file, fragment):
+        argv = ("canonical", "--structure", k2_file, "--fragment", fragment)
+        code, out, err = run_cli(capsys, *argv, "--budget", "0")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # K2's scan is 4 index tuples, read twice for eqfree-neg
+        code, _, _ = run_cli(capsys, *argv, "--budget", "8")
+        assert code == 0
+
+    def test_canonical_shop_takes_no_budget(self, capsys, k2_file):
+        code, out, err = run_cli(capsys, "canonical", "--structure", k2_file,
+                                 "--U", "0,1", "--X", "0,1", "--budget", "0")
+        assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_canonical_shop(self, capsys, k2_file):

@@ -11,7 +11,7 @@ from fomc import (BudgetExceededError, FomcError, FormulaError, Signature,
 from fomc.evaluator import (RELATIVISATION_MODES, SamplerConfig,
                             check_relativisation, enumerate_sentences,
                             sample_sentence, trace_elements)
-from fomc.formulas import Not, Quant, Rel, _Parser, _tokenize, check_formula
+from fomc.formulas import Not, Quant, Rel, _Parser, check_formula
 from fomc.gadgets import clique
 from fomc.structures import GRAPH_SIGNATURE
 
@@ -262,7 +262,7 @@ class TestOracleDifferential:
 
 def _unchecked(text: str):
     """The parse tree alone; ``parse_formula`` would reject these inputs."""
-    return _Parser(_tokenize(text)).formula()
+    return _Parser(text).formula()
 
 
 ERROR_CASES = (

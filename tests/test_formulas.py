@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +69,31 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_formula("exists x. E(x,x) )")
+
+    def test_huge_element_is_a_parse_error(self):
+        # int() refuses more than 4,300 digits by default
+        with pytest.raises(ParseError) as info:
+            parse_formula("exists x in {0,\n " + "9" * 5000 + "}. E(x,x)")
+        assert (info.value.line, info.value.column) == (2, 2)
+        assert "5000 digits" in str(info.value)
+
+    def test_linear_time(self):
+        # a whole-text match that may split a name into shorter names
+        # backtracks exponentially on the stray "$"; this child is killed
+        # after a few seconds if tokenizing is not linear
+        script = (
+            "from fomc import ParseError, parse_formula\n"
+            "for text in ('x' * 10000 + '$',\n"
+            "             'exists x. ' + 'E(x, x) &\\n' * 1428 + 'E(x, x) & )'):\n"
+            "    try:\n"
+            "        parse_formula(text)\n"
+            "    except ParseError as exc:\n"
+            "        print(exc, exc.line, exc.column)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=5)
+        assert proc.stdout.splitlines() == [
+            "unexpected character '$' (line 1, column 10001) 1 10001",
+            "unexpected token ')' (line 1429, column 11) 1429 11"]
 
 
 class TestRoundTrip:
