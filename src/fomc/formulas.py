@@ -12,7 +12,9 @@ The grammar (whitespace-insensitive)::
 ``x != y`` is sugar for a negated equality atom.  ``true``/``false`` are leaf
 constants; the canonical-sentence builders need them for structures with no
 facts, where the conjunction of positive facts is empty.  Parsing rejects
-unbound and shadowed variables, so every parsed formula is a sentence.
+unbound and shadowed variables, so every parsed formula is a sentence.  One
+regular expression splits a text into token strings; a syntax error works
+out its line and column from the index of the token it names.
 
 Every read-only pass (``check_formula``, ``fragment_of``, ``node_count`` and
 the prenex checks in ``gadgets``) is a loop over one iterative walk,
