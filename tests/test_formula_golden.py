@@ -9,9 +9,9 @@ sharing them must not change a byte of any transformed sentence, nor any
 error message, nor any first error or fragment, so these tests pin all of
 them as the earlier hand-written recursions produced them.  The parser
 digests pin each parsed sentence, or else each error's message, line and
-column, as the character-by-character tokenizer reported them.  The expected digests
-live in ``golden_formulas.json`` next to this file; regenerate them only when
-a change of output is intended:
+column, as the character-by-character tokenizer reported them.  The
+expected digests live in ``golden_formulas.json`` next to this file;
+regenerate them only when a change of output is intended:
 
     PYTHONPATH=src python tests/test_formula_golden.py > tests/golden_formulas.json
 """
