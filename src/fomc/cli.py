@@ -34,8 +34,8 @@ EXIT_BUDGET = 3
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
+            return sys.stdin.read().removeprefix("\ufeff")
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FomcError(f"cannot read {path}: {exc}") from exc

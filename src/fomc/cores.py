@@ -1,9 +1,11 @@
 """Core computations: classical core, interchangeability core, U-X-core.
 
-The U-X-core search sweeps subset sizes from below, so the returned U and X
-are size-minimal; among all minimal pairs it keeps one maximising the overlap
-(ties broken lexicographically, which only affects labels: the core itself is
-unique up to isomorphism).
+The U-X-core search finds every size-minimal U and X.  A shop that works for
+a set works for each superset, so after a probe of the singletons it descends
+from the whole domain and refutes only the subsets whose one-larger supersets
+all hit.  Among all minimal pairs it keeps one maximising the overlap (ties
+broken lexicographically, which only affects labels: the core itself is unique
+up to isomorphism).
 """
 
 from __future__ import annotations
@@ -65,14 +67,32 @@ class UXCore:
 
 def _minimal_sets(structure: Structure, profile: str) -> tuple[int, list[tuple[int, ...]]]:
     """Smallest size k with a ``profile`` shop preserving the structure for
-    some k-subset, and every subset of that size admitting one."""
+    some k-subset, and every k-subset admitting one, in ``combinations`` order.
+
+    A shop that works for S works for every superset of S, so the subsets
+    that admit one are closed upwards.  After a probe of the singletons, the
+    sweep descends from the whole domain and tests a subset only when all its
+    one-larger supersets hit; the first level without a hit lies below k.
+    """
     n = structure.size
-    for size in range(1, n + 1):
-        hits = [S for S in itertools.combinations(range(n), size)
-                if exists_shop(structure, profile, frozenset(S)) is not None]
-        if hits:
-            return size, hits
-    raise FomcError(f"unreachable: the whole domain always admits a {profile} shop")  # pragma: no cover
+
+    def admits(S: tuple[int, ...]) -> bool:
+        return exists_shop(structure, profile, frozenset(S)) is not None
+
+    hits = [S for S in itertools.combinations(range(n), 1) if admits(S)]
+    if hits:
+        return 1, hits
+    hits = [tuple(range(n))]
+    for size in range(n - 1, 1, -1):
+        above = set(map(frozenset, hits))
+        level = [S for S in itertools.combinations(range(n), size)
+                 if all((frozenset(S) | {e}) in above
+                        for e in range(n) if e not in S)
+                 and admits(S)]
+        if not level:
+            return size + 1, hits
+        hits = level
+    return 2, hits  # no singleton admits one
 
 
 def minimal_u_sets(structure: Structure) -> tuple[int, list[tuple[int, ...]]]:
@@ -90,7 +110,8 @@ def minimal_x_sets(structure: Structure) -> tuple[int, list[tuple[int, ...]]]:
 def ux_core(structure: Structure) -> UXCore:
     """Compute the U-X-core.
 
-    Exact subset sweep: minimise |U| and |X| independently, then maximise
+    Minimise |U| and |X| independently, each by a descending sweep that
+    relies on hits being closed upwards (see ``_minimal_sets``), then maximise
     |U & X| over the minimal witnesses (then least U, then least X).  The core
     is the substructure induced by U | X with the canonical shop attached.
     """

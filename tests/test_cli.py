@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -105,6 +106,25 @@ class TestEval:
                                  "--sentence", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("carrier", ["sentence", "structure", "stdin"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, k2_file, sentence_file, carrier):
+        # some editors save UTF-8 text with a leading U+FEFF
+        bom = b"\xef\xbb\xbf"
+        paths = {"structure": k2_file, "sentence": sentence_file}
+        stdin = None
+        if carrier == "stdin":
+            stdin = bom + Path(sentence_file).read_bytes()
+            paths["sentence"] = "-"
+        else:
+            path = tmp_path / f"bom-{carrier}"
+            path.write_bytes(bom + Path(paths[carrier]).read_bytes())
+            paths[carrier] = str(path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fomc.cli", "eval", "--structure",
+             paths["structure"], "--sentence", paths["sentence"]],
+            input=stdin, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"true\n", b"")
 
     def test_huge_element_exits_2(self, capsys, tmp_path, k2_file):
         path = tmp_path / "huge.fml"

@@ -1,13 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from fomc import (BudgetExceededError, Structure, are_isomorphic,
+from fomc import (BudgetExceededError, Signature, Structure, are_isomorphic,
                   check_3_permuted, classical_core, eqfree_core,
                   find_morphism, preserves, quotient_by_sim, ux_core)
+from fomc.cores import minimal_u_sets, minimal_x_sets
 from fomc.evaluator import SamplerConfig, check_relativisation, evaluate, sample_sentence
 from fomc.gadgets import GadgetSpec, clique, make_gadget
-from fomc.shops import bits
+from fomc.shops import bits, exists_shop
 from fomc.structures import GRAPH_SIGNATURE
 
 from conftest import random_structure
@@ -177,6 +179,37 @@ class TestUXCore:
         big = clique(7)
         with pytest.raises(BudgetExceededError):
             ux_core(big)
+
+
+def ascending_minimal_sets(structure, profile):
+    """Oracle for the descending sweep: test every subset, smallest first."""
+    n = structure.size
+    for size in range(1, n + 1):
+        hits = [S for S in itertools.combinations(range(n), size)
+                if exists_shop(structure, profile, frozenset(S)) is not None]
+        if hits:
+            return size, hits
+    raise AssertionError("the whole domain always admits a shop")
+
+
+class TestMinimalSets:
+    @pytest.mark.parametrize("signature,sizes,seed", [
+        (GRAPH_SIGNATURE, range(1, 7), 73),
+        (Signature.make(("R", 3)), range(1, 6), 74),
+    ])
+    def test_descending_sweep_matches_ascending_oracle(self, signature, sizes, seed):
+        rng = random.Random(seed)
+        answers = set()
+        for n in sizes:
+            for density in (0.2, 0.4, 0.6, 0.8):
+                s = random_structure(rng, n, signature, density)
+                for sweep, profile in ((minimal_u_sets, "U-surjective"),
+                                       (minimal_x_sets, "X-total")):
+                    expected = ascending_minimal_sets(s, profile)
+                    assert sweep(s) == expected, (s, profile)
+                    answers.add(expected[0])
+        # the corpus must reach the singleton probe and a descent past size 2
+        assert 1 in answers and max(answers) > 2
 
 
 class TestRetractEquivalence:
