@@ -32,13 +32,16 @@ EXIT_BUDGET = 3
 
 
 def _read(path: str) -> str:
+    """The text of a file or of stdin ('-'), without a leading byte-order mark."""
     try:
         if path == "-":
-            return sys.stdin.read().removeprefix("\ufeff")
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FomcError(f"cannot read {path}: {exc}") from exc
+    return text.removeprefix("\ufeff")
 
 
 def _load_structure(path: str):
