@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, FomcError
-from .shops import HyperMap, canonical_shop, exists_shop
+from .shops import HyperMap, canonical_shop, shop_exists
 from .structures import (Structure, find_morphism, induced_substructure,
                          quotient_by_sim)
 
@@ -73,13 +73,12 @@ def _minimal_sets(structure: Structure, profile: str) -> tuple[int, list[tuple[i
     that admit one are closed upwards.  After a probe of the singletons, the
     sweep descends from the whole domain and tests a subset only when all its
     one-larger supersets hit; the first level without a hit lies below k.
+    Each test asks ``shops.shop_exists``, which decides whether a shop
+    exists without finding the first witness ``exists_shop`` would return.
     """
     n = structure.size
-
-    def admits(S: tuple[int, ...]) -> bool:
-        return exists_shop(structure, profile, frozenset(S)) is not None
-
-    hits = [S for S in itertools.combinations(range(n), 1) if admits(S)]
+    hits = [S for S in itertools.combinations(range(n), 1)
+            if shop_exists(structure, profile, S)]
     if hits:
         return 1, hits
     hits = [tuple(range(n))]
@@ -88,7 +87,7 @@ def _minimal_sets(structure: Structure, profile: str) -> tuple[int, list[tuple[i
         level = [S for S in itertools.combinations(range(n), size)
                  if all((frozenset(S) | {e}) in above
                         for e in range(n) if e not in S)
-                 and admits(S)]
+                 and shop_exists(structure, profile, S)]
         if not level:
             return size + 1, hits
         hits = level

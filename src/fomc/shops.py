@@ -8,7 +8,11 @@ implements composition, inversion, sub-shop tests, preservation against a
 relational structure, exhaustive and profile-directed searches for preserving
 shops, DSM closure, the canonical identity-form shop, the 3-permuted form and
 its completion.  Its backtracker, ``_ImageSearch``, also runs every morphism
-and isomorphism search of ``structures``.
+and isomorphism search of ``structures``.  The search tables of a pair of
+structures are built once, by the cached ``_links``, and shared by every
+search between them.  ``exists_shop`` returns the first witness in a fixed
+order; ``shop_exists`` only decides whether a U-surjective or X-total shop
+exists, by the engine's existence mode, which tries far fewer images.
 """
 
 from __future__ import annotations
@@ -330,13 +334,50 @@ def generate_dsm(generators: Iterable[HyperMap], n: int) -> DSM:
 
 # -- the image-mask search engine ----------------------------------------------
 
-def _degree_descending(structure: "Structure") -> list[int]:
+@lru_cache(maxsize=512)
+def _degree_descending(structure: "Structure") -> tuple[int, ...]:
     degree = [0] * structure.size
     for _, tuples in structure.rels:
         for t in tuples:
             for a in t:
                 degree[a] += 1
-    return sorted(range(structure.size), key=lambda a: (-degree[a], a))
+    return tuple(sorted(range(structure.size), key=lambda a: (-degree[a], a)))
+
+
+@lru_cache(maxsize=512)
+def _links(source: "Structure", target: "Structure"):
+    """The search tables of ``source`` into ``target`` that do not depend on
+    the order of the search: ``(unary, loops, links, general)``.
+
+    Per source element ``e``: ``unary[e]`` is the target mask its unary
+    tuples allow, ``loops[e]`` the out-mask tables of its loops ``(e, e)``,
+    and ``links[e]`` one ``(masks, other)`` pair per binary tuple joining it
+    to another element: the out-masks for a tuple ``(other, e)``, since f(e)
+    lies within ``masks[y]`` for every y in f(other), and the in-masks for a
+    tuple ``(e, other)``.  ``general`` lists the ``(name, tuple)`` pairs of
+    the higher-arity symbols.
+    """
+    tables = _mask_tables(target)
+    unary = [(1 << target.size) - 1] * source.size
+    loops: list[list[tuple[int, ...]]] = [[] for _ in range(source.size)]
+    links: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(source.size)]
+    general = []
+    for name, tuples in source.rels:
+        table = tables[name]
+        if table[0] == "unary":
+            for (a,) in tuples:
+                unary[a] &= table[1]
+        elif table[0] == "binary":
+            for a, b in tuples:
+                if a == b:
+                    loops[a].append(table[1])
+                else:
+                    links[b].append((table[1], a))
+                    links[a].append((table[2], b))
+        else:
+            general.extend((name, t) for t in tuples)
+    return (tuple(unary), tuple(map(tuple, loops)), tuple(map(tuple, links)),
+            tuple(general))
 
 
 class _ImageSearch:
@@ -346,7 +387,10 @@ class _ImageSearch:
     every binary tuple linking it to already-assigned elements is folded into
     an allowed mask, so only submasks of that mask are tried; loops and
     higher-arity tuples are verified per candidate once their last coordinate
-    is assigned.
+    is assigned.  The tables behind these steps are built once per
+    (source, target) pair by ``_links``; a search only files each binary
+    link under the later of its two elements and each higher-arity tuple
+    under its last one.
     """
 
     def __init__(self, source: "Structure", target: "Structure",
@@ -355,30 +399,20 @@ class _ImageSearch:
         self.m = target.size
         self.full = (1 << target.size) - 1
         self.order = list(order)
-        position = {a: i for i, a in enumerate(self.order)}
-        tables = _mask_tables(target)
-        # ``masks[a]``: the target elements ``a`` may map into at all
-        self.unary_masks = list(masks) if masks is not None else [self.full] * self.n
-        self.pre: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in self.order]
-        self.loops: list[list[tuple[int, ...]]] = [[] for _ in self.order]
-        self.general: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in self.order]
         self.target = target
-        for name, tuples in source.rels:
-            table = tables[name]
-            for t in tuples:
-                step = max(position[a] for a in t)
-                if table[0] == "unary":
-                    self.unary_masks[t[0]] &= table[1]
-                elif table[0] == "binary":
-                    a, b = t
-                    if a == b:
-                        self.loops[step].append(table[1])
-                    elif position[a] < position[b]:
-                        self.pre[step].append((table[1], a))  # f(b) within out-masks
-                    else:
-                        self.pre[step].append((table[2], b))  # f(a) within in-masks
-                else:
-                    self.general[step].append((name, t))
+        unary, loops, links, general = _links(source, target)
+        position = [0] * self.n
+        for step, a in enumerate(self.order):
+            position[a] = step
+        # ``masks[a]``: the target elements ``a`` may map into at all
+        self.unary_masks = (unary if masks is None
+                            else tuple(m & u for m, u in zip(masks, unary)))
+        self.pre = [[link for link in links[a] if position[link[1]] < step]
+                    for step, a in enumerate(self.order)]
+        self.loops = [loops[a] for a in self.order]
+        self.general: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in self.order]
+        for name, t in general:
+            self.general[max(map(position.__getitem__, t))].append((name, t))
 
     def allowed(self, step: int, images: list[int]) -> int:
         allowed = self.unary_masks[self.order[step]]
@@ -405,7 +439,7 @@ class _ImageSearch:
 
     def run(self, kinds: Sequence[str], collect: bool,
             barrier: Optional[tuple[int, int]] = None,
-            surjective: bool = True, injective: bool = False):
+            surjective: bool = True, injective: bool = False, exists: bool = False):
         """Search; ``kinds[step]`` is 'subset' or 'singleton'.
 
         ``barrier = (step, mask)`` demands the union of the first ``step``
@@ -429,6 +463,23 @@ class _ImageSearch:
         last of them tries only the allowed masks that cover the rest of the
         barrier, in the same ascending order as the unpruned search, so the
         first hit does not change.
+
+        ``exists`` asks only whether a hit exists, for a ``surjective``
+        first-hit search whose barrier, if any, is the whole target.  It
+        tries only images of a normal form, so it may return another first
+        hit, but returns one exactly when the full search does.  Shrinking an
+        image keeps every tuple's image product inside its relation, and so
+        keeps a hit a hit as long as the images still cover the target.  Walk
+        a hit's 'subset' steps in order and let ``covered`` be the union of
+        the shrunk images so far: shrink each image to its elements outside
+        ``covered``, or to one of its elements if there are none.  Every
+        ``covered`` is then the same as before shrinking, so the result is a
+        hit.  Shrinking the earlier images only widens ``allowed``, so its
+        image at each 'subset' step is a nonempty submask of
+        ``allowed & ~covered`` or a singleton of ``allowed & covered``; those
+        are the candidates tried.  At the last barrier step the shrunk image
+        is exactly ``need``, the part of the target still uncovered, or a
+        singleton when ``need`` is 0, so only those are tried there.
         """
         images = [0] * self.n
         found: list[HyperMap] = []
@@ -458,9 +509,19 @@ class _ImageSearch:
                     return None
             if step == barrier_step - 1:
                 need = barrier_mask & ~covered
-                candidates = submasks(allowed & ~need, need)
+                if not exists:
+                    candidates = submasks(allowed & ~need, need)
+                elif need:
+                    candidates = [need]
+                else:
+                    candidates = [1 << b for b in bits(allowed)]
             elif kinds[step] == "subset":
-                candidates = submasks(allowed)
+                if exists:
+                    candidates = itertools.chain(
+                        submasks(allowed & ~covered),
+                        [1 << b for b in bits(allowed & covered)])
+                else:
+                    candidates = submasks(allowed)
             else:
                 if injective:
                     allowed &= ~covered
@@ -536,18 +597,10 @@ def exists_shop(structure: "Structure", profile: str, *args) -> Optional[HyperMa
         return candidate if preserves(candidate, structure) else None
     if profile == "U-surjective":
         (U,) = args
-        U = frozenset(U)
-        _check_elems(n, U)
-        if not U:
-            raise FomcError("U must be nonempty")
-        return _search_u_surjective(structure, U)
+        return _search_u_surjective(*_one_sided(structure, profile, U))
     if profile == "X-total":
         (X,) = args
-        X = frozenset(X)
-        _check_elems(n, X)
-        if not X:
-            raise FomcError("X must be nonempty")
-        w = _search_u_surjective(structure.complement(), X)
+        w = _search_u_surjective(*_one_sided(structure, profile, X))
         return inverse(w) if w is not None else None
     if profile == "UX":
         U, X = args
@@ -561,15 +614,39 @@ def exists_shop(structure: "Structure", profile: str, *args) -> Optional[HyperMa
     raise FomcError(f"unknown shop profile {profile!r}")
 
 
+def shop_exists(structure: "Structure", profile: str, S: Iterable[int]) -> bool:
+    """Whether ``exists_shop(structure, profile, S)`` finds a shop, for the
+    profiles U-surjective and X-total, decided without finding its first
+    witness: the search runs in ``_ImageSearch``'s existence mode.
+    """
+    return _search_u_surjective(*_one_sided(structure, profile, S), exists=True) is not None
+
+
+def _one_sided(structure: "Structure", profile: str,
+               S: Iterable[int]) -> tuple["Structure", frozenset[int]]:
+    """The structure and set of the U-surjective search behind a
+    U-surjective or X-total profile: an X-total shop is the inverse of an
+    X-surjective shop of the complement."""
+    if profile not in ("U-surjective", "X-total"):
+        raise FomcError(f"unknown one-sided shop profile {profile!r}")
+    S = frozenset(S)
+    _check_elems(structure.size, S)
+    if not S:
+        raise FomcError(f"{profile[0]} must be nonempty")
+    return (structure if profile == "U-surjective" else structure.complement()), S
+
+
 def _check_elems(n: int, elems: Iterable[int]):
     for e in elems:
         if not (0 <= e < n):
             raise FomcError(f"element {e} outside domain 0..{n - 1}")
 
 
-def _search_u_surjective(structure: "Structure", U: frozenset[int]) -> Optional[HyperMap]:
+def _search_u_surjective(structure: "Structure", U: frozenset[int],
+                         exists: bool = False) -> Optional[HyperMap]:
     """First preserving shop with f(U) = D, subset images on U and singleton
-    images elsewhere.
+    images elsewhere; with ``exists``, a shop of that kind exactly when there
+    is one (see ``_ImageSearch.run``).
 
     Any U-surjective preserving shop can be shrunk to this form (shrinking
     keeps preservation and keeps f(U) untouched), so the restriction loses no
@@ -582,7 +659,7 @@ def _search_u_surjective(structure: "Structure", U: frozenset[int]) -> Optional[
     order = u_elems + others
     kinds = ["subset"] * len(u_elems) + ["singleton"] * len(others)
     search = _ImageSearch(structure, structure, order)
-    return search.run(kinds, collect=False, barrier=(len(u_elems), full))
+    return search.run(kinds, collect=False, barrier=(len(u_elems), full), exists=exists)
 
 
 # -- canonical shop and permuted forms ----------------------------------------

@@ -1,15 +1,17 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from fomc import (BudgetExceededError, FomcError, Structure, check_3_permuted,
+from fomc import (BudgetExceededError, FomcError, Signature, Structure, check_3_permuted,
                   completion_contains, completion_generators, compose,
                   enumerate_she, exists_shop, generate_dsm, identity_shop,
                   inverse, is_sub_shop, parse_shop, preserves, render_shop,
                   shop_from_sets)
 from fomc.lattice import all_shops
-from fomc.shops import HyperMap, canonical_shop, sub_shops
+from fomc.shops import (HyperMap, _degree_descending, _ImageSearch, _links,
+                        canonical_shop, shop_exists, sub_shops)
 from fomc.structures import GRAPH_SIGNATURE
 
 from conftest import all_binary_structures, random_structure
@@ -176,6 +178,102 @@ class TestExistsShop:
             exists_shop(k2, "A-shop", 5)
         with pytest.raises(FomcError):
             exists_shop(k2, "nonsense", 0)
+
+
+def direct_tables(source, target, order, masks=None):
+    """Oracle for ``_ImageSearch``'s set-up: the per-step tables built
+    straight from the tuples, as the engine built them before ``_links``."""
+    from fomc.shops import _mask_tables
+    position = {a: i for i, a in enumerate(order)}
+    tables = _mask_tables(target)
+    full = (1 << target.size) - 1
+    unary_masks = list(masks) if masks is not None else [full] * source.size
+    pre = [[] for _ in order]
+    loops = [[] for _ in order]
+    general = [[] for _ in order]
+    for name, tuples in source.rels:
+        table = tables[name]
+        for t in tuples:
+            step = max(position[a] for a in t)
+            if table[0] == "unary":
+                unary_masks[t[0]] &= table[1]
+            elif table[0] == "binary":
+                a, b = t
+                if a == b:
+                    loops[step].append(table[1])
+                elif position[a] < position[b]:
+                    pre[step].append((table[1], a))
+                else:
+                    pre[step].append((table[2], b))
+            else:
+                general[step].append((name, t))
+    return unary_masks, pre, loops, general
+
+
+class TestSearchTables:
+    MIXED = Signature.make(("P", 1), ("E", 2), ("R", 3))
+
+    def test_cached_links_match_direct_tables(self):
+        rng = random.Random(91)
+        cases = 0
+        for _ in range(60):
+            source = random_structure(rng, rng.randint(1, 5), self.MIXED, rng.random())
+            target = (source if rng.random() < 0.3 else
+                      random_structure(rng, rng.randint(1, 5), self.MIXED, rng.random()))
+            order = list(range(source.size))
+            rng.shuffle(order)
+            full = (1 << target.size) - 1
+            masks = (None if rng.random() < 0.5
+                     else [rng.randint(0, full) for _ in range(source.size)])
+            search = _ImageSearch(source, target, order, masks)
+            unary_masks, pre, loops, general = direct_tables(source, target, order, masks)
+            assert list(search.unary_masks) == unary_masks
+            for step in range(len(order)):
+                assert Counter(search.pre[step]) == Counter(pre[step])
+                assert Counter(search.loops[step]) == Counter(loops[step])
+                assert Counter(search.general[step]) == Counter(general[step])
+            cases += source is not target and any(map(len, pre)) and any(map(len, loops))
+        assert cases  # some pair with binary links and loops across two structures
+
+    def test_cached_tables_are_immutable(self):
+        s = random_structure(random.Random(92), 4, self.MIXED, 0.5)
+        for table in _links(s, s):
+            assert isinstance(table, tuple)
+        assert isinstance(_degree_descending(s), tuple)
+        assert _links.cache_info().maxsize == _degree_descending.cache_info().maxsize == 512
+
+
+class TestShopExists:
+    # X = {0,...,4} on this digraph is an X-total refutation that used to
+    # cost the witness search tens of milliseconds
+    FOUND = Structure.make(GRAPH_SIGNATURE, 6,
+                           {"E": {(0, 4), (4, 0), (4, 3), (5, 0), (5, 4)}})
+
+    def test_matches_witness_search(self):
+        rng = random.Random(93)
+        corpus = [(self.FOUND, "X-total", (0, 1, 2, 3, 4))]
+        for signature, sizes in ((GRAPH_SIGNATURE, range(1, 7)),
+                                 (Signature.make(("R", 3)), range(1, 6))):
+            for n in sizes:
+                for density in (0.2, 0.5, 0.8):
+                    s = random_structure(rng, n, signature, density)
+                    subsets = [S for k in range(1, n + 1)
+                               for S in itertools.combinations(range(n), k)]
+                    for profile in ("U-surjective", "X-total"):
+                        for S in rng.sample(subsets, min(len(subsets), 12)):
+                            corpus.append((s, profile, S))
+        outcomes = Counter()
+        for s, profile, S in corpus:
+            expected = exists_shop(s, profile, frozenset(S)) is not None
+            assert shop_exists(s, profile, S) == expected, (s, profile, S)
+            outcomes[profile, expected] += 1
+        assert min(outcomes.values()) > 20 and len(outcomes) == 4
+        assert not shop_exists(self.FOUND, "X-total", (0, 1, 2, 3, 4))
+
+    def test_range_checks(self, k2):
+        for profile, S in (("U-surjective", ()), ("X-total", (2,)), ("A-shop", (0,))):
+            with pytest.raises(FomcError):
+                shop_exists(k2, profile, S)
 
 
 class TestGenerateDsm:
