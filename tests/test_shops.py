@@ -10,7 +10,7 @@ from fomc import (BudgetExceededError, FomcError, Signature, Structure, check_3_
                   inverse, is_sub_shop, parse_shop, preserves, render_shop,
                   shop_from_sets)
 from fomc.lattice import all_shops
-from fomc.shops import (HyperMap, _degree_descending, _ImageSearch, _links,
+from fomc.shops import (HyperMap, _degree_descending, _ImageSearch, _links, _mask_tables,
                         canonical_shop, shop_exists, sub_shops)
 from fomc.structures import GRAPH_SIGNATURE
 
@@ -182,8 +182,7 @@ class TestExistsShop:
 
 def direct_tables(source, target, order, masks=None):
     """Oracle for ``_ImageSearch``'s set-up: the per-step tables built
-    straight from the tuples, as the engine built them before ``_links``."""
-    from fomc.shops import _mask_tables
+    straight from the tuples, one tuple at a time."""
     position = {a: i for i, a in enumerate(order)}
     tables = _mask_tables(target)
     full = (1 << target.size) - 1
@@ -244,8 +243,8 @@ class TestSearchTables:
 
 
 class TestShopExists:
-    # X = {0,...,4} on this digraph is an X-total refutation that used to
-    # cost the witness search tens of milliseconds
+    # X = {0,...,4} on this digraph is an X-total refutation that costs the
+    # witness search tens of milliseconds
     FOUND = Structure.make(GRAPH_SIGNATURE, 6,
                            {"E": {(0, 4), (4, 0), (4, 3), (5, 0), (5, 4)}})
 
