@@ -477,9 +477,10 @@ class _ImageSearch:
         hit.  Shrinking the earlier images only widens ``allowed``, so its
         image at each 'subset' step is a nonempty submask of
         ``allowed & ~covered`` or a singleton of ``allowed & covered``; those
-        are the candidates tried.  At the last barrier step the shrunk image
-        is exactly ``need``, the part of the target still uncovered, or a
-        singleton when ``need`` is 0, so only those are tried there.
+        are the candidates tried.  At the last barrier step the image must
+        cover ``need``, the part of the target still uncovered, so the shrunk
+        image is exactly ``need``, or a singleton when ``need`` is 0; only
+        those are tried there.
         """
         images = [0] * self.n
         found: list[HyperMap] = []
