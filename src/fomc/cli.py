@@ -157,8 +157,11 @@ def _cmd_dsm_census(args) -> int:
         if args.export == "-":
             sys.stdout.write(text)
         else:
-            with open(args.export, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            try:
+                with open(args.export, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise FomcError(f"cannot write {args.export}: {exc}") from exc
     payload = {
         "n": args.n, "count": len(nodes),
         "nodes": [{

@@ -1,5 +1,8 @@
 """Core computations: classical core, interchangeability core, U-X-core.
 
+The classical core is the first candidate subset that some endomorphism maps
+the structure into, found by searches restricted to that subset.
+
 The U-X-core search finds every size-minimal U and X.  A shop that works for
 a set works for each superset, so after a probe of the singletons it descends
 from the whole domain and refutes only the subsets whose one-larger supersets
@@ -14,9 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, FomcError
-from .shops import HyperMap, canonical_shop, shop_exists
-from .structures import (Structure, find_morphism, induced_substructure,
-                         quotient_by_sim)
+from .shops import HyperMap, canonical_shop, mask_of, shop_exists
+from .structures import Structure, _first_hit, induced_substructure, quotient_by_sim
 
 DEFAULT_CORE_BOUND = 6
 CLASSICAL_CORE_BOUND = DEFAULT_CORE_BOUND + 2
@@ -26,18 +28,23 @@ def classical_core(structure: Structure) -> tuple[Structure, tuple[int, ...]]:
     """Minimum induced substructure homomorphically equivalent to the input.
 
     Returns the core and the retraction (a map from original elements to core
-    elements).  Found by looking for endomorphisms into ever larger candidate
-    images; the inclusion back is always a homomorphism.
+    elements).  For ever larger candidate sets ``keep``, in ``combinations``
+    order, it looks for an endomorphism whose images all lie in ``keep``:
+    a homomorphism into the substructure induced by ``keep``, found by one
+    restricted search on the input's own tables.  The inclusion back is
+    always a homomorphism.  The substructure is built once, for the answer;
+    its renumbering keeps the order of the elements, so the retraction is the
+    first hit of the search into the substructure itself.
     """
     n = structure.size
     if n > CLASSICAL_CORE_BOUND:
         raise BudgetExceededError(f"domain size {n} exceeds core bound {CLASSICAL_CORE_BOUND}")
     for k in range(1, n + 1):
         for keep in itertools.combinations(range(n), k):
-            candidate, _ = induced_substructure(structure, keep)
-            witness = find_morphism(structure, candidate, "homomorphism")
-            if witness is not None:
-                return candidate, witness
+            hit = _first_hit(structure, structure, masks=[mask_of(keep)] * n)
+            if hit is not None:
+                core, element_map = induced_substructure(structure, keep)
+                return core, tuple(element_map[m.bit_length() - 1] for m in hit.images)
     raise FomcError("unreachable: the identity is always a retraction")  # pragma: no cover
 
 

@@ -427,14 +427,25 @@ def canonical_sentence(structure: "Structure", fragment: str,
         clauses = [sim_formula(structure.signature, "w", v) for v in vs]
         body = conj(atoms + [Quant("forall", "w", None, disj(clauses))])
         return exists_block(vs, body)
+    return _two_block(structure, (), [], m)
+
+
+def _two_block(structure: "Structure", head: Sequence[int], head_names: Sequence[str],
+               m: int) -> Formula:
+    """The sentence exists v0..v(n-1) forall w0..w(m-1) over a structure of
+    size n.  The ``head`` elements are named ``head_names`` (free in the
+    result) and the domain is named by the v.  The body is the positive facts
+    of head and domain, and a disjunction with one conjunct per map of the w
+    into the domain: the positive facts of head, domain and w under it."""
+    n = structure.size
+    vs = [f"v{i}" for i in range(n)]
     ws = [f"w{i}" for i in range(m)]
-    names = vs + ws
-    disjuncts = []
-    for t in itertools.product(range(n), repeat=m):
-        disjuncts.append(conj(positive_facts(structure, elements + list(t), names)))
-    body = conj(positive_facts(structure, elements, vs)
-                + [forall_block(ws, disj(disjuncts))])
-    return exists_block(vs, body)
+    elements = [*head, *range(n)]
+    names = [*head_names, *vs]
+    disjuncts = [conj(positive_facts(structure, elements + list(t), names + ws))
+                 for t in itertools.product(range(n), repeat=m)]
+    return exists_block(vs, conj(positive_facts(structure, elements, names)
+                                 + [forall_block(ws, disj(disjuncts))]))
 
 
 def sim_formula(signature: "Signature", x: str, y: str) -> Formula:
@@ -476,7 +487,6 @@ def defining_formula(structure: "Structure", relation: Iterable[Sequence[int]],
     relation's tuples of two-block sentences with free variables u1..u_arity.
     """
     from .shops import enumerate_she
-    from .structures import Structure
 
     tuples = sorted(tuple(t) for t in relation)
     for t in tuples:
@@ -495,23 +505,11 @@ def defining_formula(structure: "Structure", relation: Iterable[Sequence[int]],
 
     n = structure.size
     us = [f"u{i + 1}" for i in range(arity)]
-    vs = [f"v{i}" for i in range(n)]
-    ws = [f"w{i}" for i in range(n)]
-    enumeration = list(range(n))
     cost = len(tuples) * (n ** n) * sum(
         (arity + 2 * n) ** a for _, a in structure.signature.symbols)
     if cost > budget:
         raise BudgetExceededError(f"defining formula would need about {cost} atoms")
-
-    def theta(r: tuple[int, ...]) -> Formula:
-        head = positive_facts(structure, list(r) + enumeration, us + vs)
-        disjuncts = []
-        for t in itertools.product(range(n), repeat=n):
-            disjuncts.append(conj(positive_facts(
-                structure, list(r) + enumeration + list(t), us + vs + ws)))
-        return exists_block(vs, conj(head + [forall_block(ws, disj(disjuncts))]))
-
-    return disj([theta(r) for r in tuples])
+    return disj([_two_block(structure, r, us, n) for r in tuples])
 
 
 # -- parser ----------------------------------------------------------------------

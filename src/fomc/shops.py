@@ -10,9 +10,10 @@ shops, DSM closure, the canonical identity-form shop, the 3-permuted form and
 its completion.  Its backtracker, ``_ImageSearch``, also runs every morphism
 and isomorphism search of ``structures``.  The search tables of a pair of
 structures are built once, by the cached ``_links``, and shared by every
-search between them.  ``exists_shop`` returns the first witness in a fixed
-order; ``shop_exists`` only decides whether a U-surjective or X-total shop
-exists, by the engine's existence mode, which tries far fewer images.
+search between them.  Every profile but singletonUX and UX is one run of
+``_one_sided``: ``exists_shop`` returns its first witness in a fixed order;
+``shop_exists`` only decides whether a U-surjective or X-total shop exists,
+by the engine's existence mode, which tries far fewer images.
 """
 
 from __future__ import annotations
@@ -437,62 +438,58 @@ class _ImageSearch:
                     return False
         return True
 
-    def run(self, kinds: Sequence[str], collect: bool,
-            barrier: Optional[tuple[int, int]] = None,
-            surjective: bool = True, injective: bool = False, exists: bool = False):
-        """Search; ``kinds[step]`` is 'subset' or 'singleton'.
+    def run(self, subset_steps: int, collect: bool = False, cover: bool = False,
+            surjective: bool = False, injective: bool = False, exists: bool = False):
+        """Search; the first ``subset_steps`` steps try nonempty subsets as
+        images, the rest singletons.  Returns all hits or the first one.
 
-        ``barrier = (step, mask)`` demands the union of the first ``step``
-        images covers ``mask``; ``step`` is at least 1 and those first steps
-        are 'subset' steps.  Returns all hits or the first one.
+        ``covered`` is the union of the images assigned so far.  ``cover``
+        demands that the images of the 'subset' steps, at least one, cover
+        the whole target.  Before each of them, the images still to come
+        can at most cover the union of their allowed masks (computed with
+        unassigned images read as 0, which only loosens them), so a node
+        whose reach misses part of the target is cut.  The last of them
+        tries only the allowed masks that cover the rest of the target, in
+        the same ascending order as the unpruned search, so the first hit
+        does not change.
 
-        ``covered`` is the union of the images assigned so far.  A
-        ``surjective`` search accepts a leaf only if ``covered`` is the whole
-        target, and cuts a node whose uncovered target elements outnumber
-        what the steps left can still cover (one per 'singleton' step, all
-        per 'subset' step); otherwise every leaf is a hit.  An
-        ``injective`` search drops ``covered`` from the allowed mask of each
-        'singleton' step, so no two singleton images meet.  Full maps need no rule of their own:
+        A ``surjective`` search accepts a leaf only if ``covered`` is the
+        whole target, and cuts a node whose uncovered target elements
+        outnumber the 'singleton' steps left; while a 'subset' step is left
+        nothing is cut.  Once ``cover`` holds, ``covered`` is the whole
+        target after the last 'subset' step, so neither can fail and
+        ``cover`` implies ``surjective``.  An ``injective`` search drops
+        ``covered`` from the allowed mask of each 'singleton' step, so no two
+        singleton images meet.  Full maps need no rule of their own:
         ``structures.find_morphism`` runs them as homomorphisms between the
         structures extended by each symbol's complement.
 
-        Barrier pruning: before each of the first ``step`` elements, the
-        images still to come can at most cover the union of their allowed
-        masks (computed with unassigned images read as 0, which only
-        loosens them), so a node whose reach misses the barrier is cut.  The
-        last of them tries only the allowed masks that cover the rest of the
-        barrier, in the same ascending order as the unpruned search, so the
-        first hit does not change.
-
-        ``exists`` asks only whether a hit exists, for a ``surjective``
-        first-hit search whose barrier, if any, is the whole target.  It
-        tries only images of a normal form, so it may return another first
-        hit, but returns one exactly when the full search does.  Shrinking an
+        ``exists`` asks only whether a hit exists, for a first-hit search
+        that accepts a hit by preservation and ``covered`` alone.  It tries
+        only images of a normal form, so it may return another first hit,
+        but returns one exactly when the full search does.  Shrinking an
         image keeps every tuple's image product inside its relation, and so
-        keeps a hit a hit as long as the images still cover the target.  Walk
-        a hit's 'subset' steps in order and let ``covered`` be the union of
-        the shrunk images so far: shrink each image to its elements outside
-        ``covered``, or to one of its elements if there are none.  Every
-        ``covered`` is then the same as before shrinking, so the result is a
-        hit.  Shrinking the earlier images only widens ``allowed``, so its
-        image at each 'subset' step is a nonempty submask of
+        keeps a hit a hit as long as the images still cover what they did.
+        Walk a hit's 'subset' steps in order and let ``covered`` be the union
+        of the shrunk images so far: shrink each image to its elements
+        outside ``covered``, or to one of its elements if there are none.
+        Every ``covered`` is then the same as before shrinking, so the result
+        is a hit.  Shrinking the earlier images only widens ``allowed``, so
+        its image at each 'subset' step is a nonempty submask of
         ``allowed & ~covered`` or a singleton of ``allowed & covered``; those
-        are the candidates tried.  At the last barrier step the image must
-        cover ``need``, the part of the target still uncovered, so the shrunk
-        image is exactly ``need``, or a singleton when ``need`` is 0; only
-        those are tried there.
+        are the candidates tried.  Under ``cover`` the last 'subset' step
+        must cover ``need``, the part of the target still uncovered, so the
+        shrunk image is exactly ``need``, or a singleton when ``need`` is 0;
+        only those are tried there.
         """
         images = [0] * self.n
         found: list[HyperMap] = []
-        barrier_step, barrier_mask = barrier if barrier is not None else (0, 0)
-        can_cover = [0] * (len(kinds) + 1)
-        for step in reversed(range(len(kinds))):
-            can_cover[step] = can_cover[step + 1] + (1 if kinds[step] == "singleton" else self.m)
 
         def rec(step: int, covered: int) -> Optional[HyperMap]:
-            if surjective and (self.full & ~covered).bit_count() > can_cover[step]:
+            if (surjective and step >= subset_steps
+                    and (self.full & ~covered).bit_count() > self.n - step):
                 return None
-            if step == len(self.order):
+            if step == self.n:
                 hit = HyperMap(self.n, self.m, tuple(images))
                 if collect:
                     found.append(hit)
@@ -502,21 +499,21 @@ class _ImageSearch:
             allowed = self.allowed(step, images)
             if not allowed:
                 return None
-            if step < barrier_step:
+            if cover and step < subset_steps:
                 reach = covered | allowed
-                for later in range(step + 1, barrier_step):
+                for later in range(step + 1, subset_steps):
                     reach |= self.allowed(later, images)
-                if barrier_mask & ~reach:
+                if self.full & ~reach:
                     return None
-            if step == barrier_step - 1:
-                need = barrier_mask & ~covered
+            if cover and step == subset_steps - 1:
+                need = self.full & ~covered
                 if not exists:
                     candidates = submasks(allowed & ~need, need)
                 elif need:
                     candidates = [need]
                 else:
                     candidates = [1 << b for b in bits(allowed)]
-            elif kinds[step] == "subset":
+            elif step < subset_steps:
                 if exists:
                     candidates = itertools.chain(
                         submasks(allowed & ~covered),
@@ -545,21 +542,20 @@ class _ImageSearch:
 DEFAULT_ENUMERATION_BOUND = 6
 
 
-def enumerate_she(structure: "Structure", bound: int = DEFAULT_ENUMERATION_BOUND,
-                  force: bool = False) -> DSM:
+def enumerate_she(structure: "Structure", force: bool = False) -> DSM:
     """All surjective hyper-endomorphisms of a structure, as a DSM.
 
     Backtracking over per-element image masks with forward checking.  The
-    domain bound guards against the exponential blowup on weakly constrained
-    structures; pass ``force`` to exceed it at your own risk.
+    domain bound ``DEFAULT_ENUMERATION_BOUND`` guards against the
+    exponential blowup on weakly constrained structures; pass ``force`` to
+    exceed it at your own risk.
     """
     n = structure.size
-    if n > bound and not force:
+    if n > DEFAULT_ENUMERATION_BOUND and not force:
         raise BudgetExceededError(
-            f"domain size {n} exceeds enumeration bound {bound}")
+            f"domain size {n} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
     search = _ImageSearch(structure, structure, _degree_descending(structure))
-    found = search.run(["subset"] * n, collect=True)
-    return _dsm_from_set(n, found)
+    return _dsm_from_set(n, search.run(n, collect=True, surjective=True))
 
 
 # -- profile-directed existence searches --------------------------------------
@@ -575,34 +571,24 @@ def exists_shop(structure: "Structure", profile: str, *args) -> Optional[HyperMa
       X-total(X)       - every image meets X
       UX(U,X)          - U-surjective and X-total
 
-    Returns a witness shop or None.  E-shop and X-total are decided on the
-    complement structure via inversion; UX composes the two one-sided
-    witnesses.
+    Returns a witness shop or None.  A-shop and E-shop are the U-surjective
+    and X-total profiles of a singleton (see ``_one_sided``); UX composes
+    the two one-sided witnesses.
     """
     n = structure.size
     full = (1 << n) - 1
-    if profile == "A-shop":
-        (u,) = args
-        _check_elems(n, [u])
-        return _search_u_surjective(structure, frozenset([u]))
-    if profile == "E-shop":
-        (x,) = args
-        _check_elems(n, [x])
-        w = _search_u_surjective(structure.complement(), frozenset([x]))
-        return inverse(w) if w is not None else None
+    if profile in ("A-shop", "E-shop"):
+        (e,) = args
+        return _one_sided(structure, "U-surjective" if profile == "A-shop" else "X-total", [e])
     if profile == "singletonUX":
         u, x = args
         _check_elems(n, [u, x])
         # the one candidate: any {u}-{x}-shop has this as a sub-shop
         candidate = HyperMap(n, n, tuple(full if z == u else 1 << x for z in range(n)))
         return candidate if preserves(candidate, structure) else None
-    if profile == "U-surjective":
-        (U,) = args
-        return _search_u_surjective(*_one_sided(structure, profile, U))
-    if profile == "X-total":
-        (X,) = args
-        w = _search_u_surjective(*_one_sided(structure, profile, X))
-        return inverse(w) if w is not None else None
+    if profile in ("U-surjective", "X-total"):
+        (S,) = args
+        return _one_sided(structure, profile, S)
     if profile == "UX":
         U, X = args
         f = exists_shop(structure, "U-surjective", U)
@@ -620,47 +606,39 @@ def shop_exists(structure: "Structure", profile: str, S: Iterable[int]) -> bool:
     profiles U-surjective and X-total, decided without finding its first
     witness: the search runs in ``_ImageSearch``'s existence mode.
     """
-    return _search_u_surjective(*_one_sided(structure, profile, S), exists=True) is not None
+    return _one_sided(structure, profile, S, exists=True) is not None
 
 
-def _one_sided(structure: "Structure", profile: str,
-               S: Iterable[int]) -> tuple["Structure", frozenset[int]]:
-    """The structure and set of the U-surjective search behind a
-    U-surjective or X-total profile: an X-total shop is the inverse of an
-    X-surjective shop of the complement."""
+def _one_sided(structure: "Structure", profile: str, S: Iterable[int],
+               exists: bool = False) -> Optional[HyperMap]:
+    """First preserving shop with the U-surjective or X-total ``profile``
+    for the set ``S``; with ``exists``, a shop of that kind exactly when
+    there is one (see ``_ImageSearch.run``).
+
+    An X-total shop is the inverse of an X-surjective shop of the
+    complement, so both profiles search for an S-surjective shop: subset
+    images on the elements of S, which come first in ascending order, and
+    singleton images on the rest, in descending degree order.  Any S-surjective preserving shop
+    can be shrunk to this form (shrinking keeps preservation and keeps f(S)
+    untouched), so the restriction loses no witnesses.
+    """
     if profile not in ("U-surjective", "X-total"):
         raise FomcError(f"unknown one-sided shop profile {profile!r}")
     S = frozenset(S)
     _check_elems(structure.size, S)
     if not S:
         raise FomcError(f"{profile[0]} must be nonempty")
-    return (structure if profile == "U-surjective" else structure.complement()), S
+    if profile == "X-total":
+        structure = structure.complement()
+    order = sorted(S) + [a for a in _degree_descending(structure) if a not in S]
+    w = _ImageSearch(structure, structure, order).run(len(S), cover=True, exists=exists)
+    return inverse(w) if w is not None and profile == "X-total" else w
 
 
 def _check_elems(n: int, elems: Iterable[int]):
     for e in elems:
         if not (0 <= e < n):
             raise FomcError(f"element {e} outside domain 0..{n - 1}")
-
-
-def _search_u_surjective(structure: "Structure", U: frozenset[int],
-                         exists: bool = False) -> Optional[HyperMap]:
-    """First preserving shop with f(U) = D, subset images on U and singleton
-    images elsewhere; with ``exists``, a shop of that kind exactly when there
-    is one (see ``_ImageSearch.run``).
-
-    Any U-surjective preserving shop can be shrunk to this form (shrinking
-    keeps preservation and keeps f(U) untouched), so the restriction loses no
-    witnesses.
-    """
-    n = structure.size
-    full = (1 << n) - 1
-    u_elems = sorted(U)
-    others = [a for a in _degree_descending(structure) if a not in U]
-    order = u_elems + others
-    kinds = ["subset"] * len(u_elems) + ["singleton"] * len(others)
-    search = _ImageSearch(structure, structure, order)
-    return search.run(kinds, collect=False, barrier=(len(u_elems), full), exists=exists)
 
 
 # -- canonical shop and permuted forms ----------------------------------------
@@ -787,7 +765,7 @@ def completion_contains(f: HyperMap, U: Iterable[int], X: Iterable[int]) -> bool
     return check_3_permuted(f, U, X) is not None
 
 
-def completion_generators(U: Iterable[int], X: Iterable[int], n: int | None = None) -> tuple[HyperMap, ...]:
+def completion_generators(U: Iterable[int], X: Iterable[int]) -> tuple[HyperMap, ...]:
     """Generators of the completion for disjoint U, X covering the domain.
 
     A transposition and a cyclic permutation on U, each spraying all of X
@@ -801,8 +779,7 @@ def completion_generators(U: Iterable[int], X: Iterable[int], n: int | None = No
     X = sorted(set(X))
     if set(U) & set(X):
         raise FomcError("completion generators require disjoint U and X")
-    if n is None:
-        n = len(U) + len(X)
+    n = len(U) + len(X)
     if set(U) | set(X) != set(range(n)):
         raise FomcError("U and X must cover the domain")
     x_mask = mask_of(X)

@@ -7,14 +7,16 @@ induced substructures, the interchangeability quotient, witness searches for
 the five morphism kinds, isomorphism and Boolean closure tests.
 
 Every morphism and isomorphism search is one run of the shop-search engine
-``shops._ImageSearch``.  Surjective kinds demand at the leaf that the images
-cover the target, and cut a branch once the uncovered target elements
-outnumber the source elements left to assign; injective kinds drop the
-images assigned so far from each singleton step's candidates; full kinds
-search between the two structures extended by each symbol's complement,
-since a map is full exactly when it is also a homomorphism between the
-complements.  Isomorphism also sends each element only to target elements
-of equal occurrence profile.
+``shops._ImageSearch``, through ``_first_hit``.  Surjective kinds demand at
+the leaf that the images cover the target, and cut a branch once the
+uncovered target elements outnumber the source elements left to assign;
+injective kinds drop the images assigned so far from each singleton step's
+candidates; full kinds search between the two structures extended by each
+symbol's complement, since a map is full exactly when it is also a
+homomorphism between the complements.  A search may restrict the images of
+each element to a mask: isomorphism sends each element only to target
+elements of equal occurrence profile, and ``cores.classical_core`` keeps an
+endomorphism's images inside a candidate core.
 """
 
 from __future__ import annotations
@@ -247,23 +249,24 @@ def find_morphism(source: Structure, target: Structure, kind: str):
         return None
     if kind == "fullSurjective" and target.size > source.size:
         return None
-    hit = _first_hit(source, target, "subset" if kind == "surjectiveHyper" else "singleton",
+    hit = _first_hit(source, target, source.size if kind == "surjectiveHyper" else 0,
                      surjective=kind in ("fullSurjective", "surjectiveHyper"),
                      injective=kind == "injective", full=kind in ("full", "fullSurjective"))
     return hit if kind == "surjectiveHyper" else _as_function(hit)
 
 
-def _first_hit(source: Structure, target: Structure, step_kind: str, surjective: bool,
-               injective: bool, full: bool,
+def _first_hit(source: Structure, target: Structure, subset_steps: int = 0,
+               surjective: bool = False, injective: bool = False, full: bool = False,
                masks: Optional[Sequence[int]] = None) -> Optional[HyperMap]:
-    """The engine's first hit with every step of ``step_kind``, source
-    elements in descending degree order, each source element ``a`` mapping
-    into ``masks[a]`` when given."""
+    """The engine's first hit, source elements in descending degree order,
+    the first ``subset_steps`` of them with subset images and the rest with
+    singletons, each source element ``a`` mapping into ``masks[a]`` when
+    given."""
     order = _degree_descending(source)
     if full:
         source, target = _with_complements(source), _with_complements(target)
     return _ImageSearch(source, target, order, masks).run(
-        [step_kind] * len(order), collect=False, surjective=surjective, injective=injective)
+        subset_steps, surjective=surjective, injective=injective)
 
 
 def _as_function(hit: Optional[HyperMap]) -> Optional[tuple[int, ...]]:
@@ -331,7 +334,7 @@ def are_isomorphic(left: Structure, right: Structure,
             for v, profile in enumerate(right_profiles):
                 same_profile[profile] = same_profile.get(profile, 0) | 1 << v
             witness = _as_function(_first_hit(
-                left, right, "singleton", surjective=False, injective=True, full=True,
+                left, right, injective=True, full=True,
                 masks=[same_profile[profile] for profile in left_profiles]))
     if want_witness:
         return witness is not None, witness

@@ -234,6 +234,19 @@ class TestCensus:
         assert code == 2 and out == ""
         assert err == f"error: domain size must be positive, got {n}\n"
 
+    @pytest.mark.parametrize("target", ["missing/lattice.txt", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_export_exits_2_with_one_line(self, tmp_path, target):
+        # exit 1 means "false"; a failed write must not read as a verdict
+        path = tmp_path / target
+        proc = subprocess.run(
+            [sys.executable, "-m", "fomc.cli", "dsm-census", "--n", "1",
+             "--export", str(path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot write {path}: ")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestOtherCommands:
     def test_core_json(self, capsys, k2_file):

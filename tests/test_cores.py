@@ -9,8 +9,9 @@ from fomc import (BudgetExceededError, Signature, Structure, are_isomorphic,
 from fomc.cores import minimal_u_sets, minimal_x_sets
 from fomc.evaluator import SamplerConfig, check_relativisation, evaluate, sample_sentence
 from fomc.gadgets import GadgetSpec, clique, make_gadget
+from fomc import shops
 from fomc.shops import bits, exists_shop
-from fomc.structures import GRAPH_SIGNATURE
+from fomc.structures import GRAPH_SIGNATURE, induced_substructure, render_structure
 
 from conftest import random_structure
 
@@ -56,6 +57,59 @@ class TestClassicalCore:
                 f = sample_sentence(GRAPH_SIGNATURE, rng, cfg)
                 if "forall" not in str(f):
                     assert evaluate(s, f) == evaluate(core, f)
+
+
+def induced_core_oracle(structure):
+    """Oracle for the restricted search: build each candidate's induced
+    substructure and search for a homomorphism into it."""
+    n = structure.size
+    for k in range(1, n + 1):
+        for keep in itertools.combinations(range(n), k):
+            candidate, _ = induced_substructure(structure, keep)
+            witness = find_morphism(structure, candidate, "homomorphism")
+            if witness is not None:
+                return candidate, witness
+    raise AssertionError("the identity is always a retraction")
+
+
+def symmetric_graph(rng, n, density=0.5):
+    edges = set()
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            edges |= {(a, b), (b, a)}
+    return Structure.make(GRAPH_SIGNATURE, n, {"E": edges})
+
+
+class TestClassicalCoreOracle:
+    def test_restricted_search_matches_induced_substructures(self):
+        rng = random.Random(75)
+        cases = [symmetric_graph(rng, n, density)
+                 for n in range(1, 9) for density in (0.3, 0.6)]
+        cases += [random_structure(rng, n, density=density)
+                  for n in range(1, 7) for density in (0.2, 0.5)]
+        cases += [random_structure(rng, n, Signature.make(("R", 3), ("U", 1)), 0.3)
+                  for n in range(1, 5)]
+        sizes = set()
+        for s in cases:
+            core, retraction = classical_core(s)
+            expected_core, expected_retraction = induced_core_oracle(s)
+            assert render_structure(core) == render_structure(expected_core), s
+            assert retraction == expected_retraction, s
+            sizes.add((s.size, core.size))
+        # the corpus must reach proper cores of three or more elements
+        assert any(n > c >= 3 for n, c in sizes)
+
+    def test_one_search_table_per_call(self):
+        # a triangle with a pendant path: every candidate of one or two
+        # elements fails, and a search into each one's induced
+        # substructure would build search tables for it
+        edges = {(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)}
+        s = Structure.make(GRAPH_SIGNATURE, 6,
+                           {"E": edges | {(b, a) for a, b in edges}})
+        before = shops._links.cache_info().misses
+        core, _ = classical_core(s)
+        assert core.size == 3
+        assert shops._links.cache_info().misses - before <= 1
 
 
 class TestEqfreeCore:

@@ -115,7 +115,7 @@ class TestVertexGadget:
 
     def test_exact_monoid_at_three_vertices(self):
         gv = vertex_gadget(3)
-        she = enumerate_she(gv, bound=7)
+        she = enumerate_she(gv, force=True)
         f_v = vertex_gadget_generator(3)
         direct = {identity_shop(7)} | set(sub_shops(f_v))
         assert she.as_set() == direct
@@ -131,7 +131,7 @@ class TestVertexGadget:
         # the slow literal form of the exactness statement
         gv = vertex_gadget(3)
         f_v = vertex_gadget_generator(3)
-        assert enumerate_she(gv, bound=7).as_set() == \
+        assert enumerate_she(gv, force=True).as_set() == \
             generate_dsm([f_v], 7).as_set()
 
     def test_generated_monoid_is_exact_at_four_vertices(self):
@@ -144,7 +144,7 @@ class TestVertexGadget:
         gv = vertex_gadget(4)
         f_v = vertex_gadget_generator(4)
         direct = {identity_shop(8)} | set(sub_shops(f_v))
-        assert enumerate_she(gv, bound=8).as_set() == direct
+        assert enumerate_she(gv, force=True).as_set() == direct
 
     def test_small_vertex_counts_only_gain_harmless_extras(self):
         # the exact monoid is unattainable below three vertices; the extras
@@ -154,7 +154,7 @@ class TestVertexGadget:
             n = 4 + s
             f_v = vertex_gadget_generator(s)
             direct = {identity_shop(n)} | set(sub_shops(f_v))
-            extra = enumerate_she(gv, bound=6).as_set() - direct
+            extra = enumerate_she(gv).as_set() - direct
             assert 0 < len(extra) <= 1
             full = (1 << n) - 1
             for f in extra:

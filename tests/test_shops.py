@@ -398,7 +398,7 @@ class TestCompletion:
 
     def test_generators_require_disjoint(self):
         with pytest.raises(FomcError):
-            completion_generators([0, 1], [1, 2], n=3)
+            completion_generators([0, 1], [1, 2])
 
 
 class TestShopText:
