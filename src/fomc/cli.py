@@ -3,14 +3,16 @@
 Subcommands: eval, classify, core, shops, dsm-census, gadget, reduce,
 canonical.  Structures and sentences come from files ('-' reads standard
 input); ``--json`` switches output to the shipped JSON schemas.  Exit codes:
-0 success (or a true sentence), 1 false sentence, 2 usage or input errors,
-3 exceeded budgets, including the recursion limit and memory.
+0 success (or a true sentence), 1 false sentence, 2 usage or input errors
+and standard output closed early, 3 exceeded budgets, including the
+recursion limit and memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classifier import FRAGMENT_KEYS, classify_fragment
@@ -315,7 +317,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output: point it at the null device, so
+        # that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before all output was written",
+              file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -86,21 +86,30 @@ class _GroundTables:
     """Composition and down-closure tables over the full shop set.
 
     Ground shops are indexed in canonical order, in which a strict sub-shop
-    always precedes its parent.
+    always precedes its parent.  ``sub[i]`` is the mask of the sub-shops of
+    ground[i].  Dropping from some image of a shop f an element that a
+    sub-shop g lacks leaves a shop between g and f, so the strict sub-shops
+    of f are those of the shops one drop below it, and ``sub`` is filled in
+    index order from the masks already built.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.ground = all_shops(n)
-        self.index = {f.images: i for i, f in enumerate(self.ground)}
+        self.index = index = {f.images: i for i, f in enumerate(self.ground)}
         self.identity = self.index[identity_shop(n).images]
         self.rows: dict[int, _LazyRow] = {}
-        self.sub = [0] * len(self.ground)
+        self.sub = sub = []
         for i, f in enumerate(self.ground):
-            m = 0
-            for s in sub_shops(f):
-                m |= 1 << self.index[s.images]
-            self.sub[i] = m
+            images = f.images
+            m = 1 << i
+            for a, image in enumerate(images):
+                for b in bits(image):
+                    # a drop that leaves a non-shop is not in ``index``
+                    j = index.get(images[:a] + (image ^ 1 << b,) + images[a + 1:])
+                    if j is not None:
+                        m |= sub[j]
+            sub.append(m)
 
     def row(self, i: int) -> _LazyRow:
         """The composition-table row of ground[i]: ``row(i)[j]`` indexes

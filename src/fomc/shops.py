@@ -13,7 +13,10 @@ structures are built once, by the cached ``_links``, and shared by every
 search between them.  Every profile but singletonUX and UX is one run of
 ``_one_sided``: ``exists_shop`` returns its first witness in a fixed order;
 ``shop_exists`` only decides whether a U-surjective or X-total shop exists,
-by the engine's existence mode, which tries far fewer images.
+by the engine's existence mode, which tries far fewer images.  Every search
+with subset images, ``enumerate_she`` included, demands surjectivity by the
+engine's ``cover`` cut; only the singleton searches of ``structures`` use its
+leaf check ``surjective``.
 """
 
 from __future__ import annotations
@@ -291,8 +294,13 @@ class DSM:
         return True
 
 
-def _dsm_from_set(n: int, shops: Iterable[HyperMap]) -> DSM:
-    return DSM(n, tuple(sorted(set(shops))))
+def _dsm_from_set(n: int, images: Iterable[tuple[int, ...]]) -> DSM:
+    """The DSM on n elements whose shops have the given image tuples.
+
+    Shops of one size sort as their image tuples do, so the tuples are
+    sorted natively and each ``HyperMap`` is built once, in order.
+    """
+    return DSM(n, tuple(HyperMap(n, n, t) for t in sorted(set(images))))
 
 
 def generate_dsm(generators: Iterable[HyperMap], n: int) -> DSM:
@@ -330,7 +338,7 @@ def generate_dsm(generators: Iterable[HyperMap], n: int) -> DSM:
     for f in sorted(monoid, key=lambda f: sum(m.bit_count() for m in f), reverse=True):
         if f not in members:
             members.update(_sub_images(f, full))
-    return _dsm_from_set(n, (HyperMap(n, n, images) for images in members))
+    return _dsm_from_set(n, members)
 
 
 # -- the image-mask search engine ----------------------------------------------
@@ -441,7 +449,8 @@ class _ImageSearch:
     def run(self, subset_steps: int, collect: bool = False, cover: bool = False,
             surjective: bool = False, injective: bool = False, exists: bool = False):
         """Search; the first ``subset_steps`` steps try nonempty subsets as
-        images, the rest singletons.  Returns all hits or the first one.
+        images, the rest singletons.  Returns the first hit as a
+        ``HyperMap``, or with ``collect`` the image tuples of all hits.
 
         ``covered`` is the union of the images assigned so far.  ``cover``
         demands that the images of the 'subset' steps, at least one, cover
@@ -453,14 +462,17 @@ class _ImageSearch:
         the same ascending order as the unpruned search, so the first hit
         does not change.
 
-        A ``surjective`` search accepts a leaf only if ``covered`` is the
-        whole target, and cuts a node whose uncovered target elements
-        outnumber the 'singleton' steps left; while a 'subset' step is left
-        nothing is cut.  Once ``cover`` holds, ``covered`` is the whole
-        target after the last 'subset' step, so neither can fail and
-        ``cover`` implies ``surjective``.  An ``injective`` search drops
-        ``covered`` from the allowed mask of each 'singleton' step, so no two
-        singleton images meet.  Full maps need no rule of their own:
+        ``cover`` is the surjectivity rule of a search with 'subset' steps,
+        ``surjective`` that of a search of singletons only.  A ``surjective``
+        search accepts a leaf only if ``covered`` is the whole target, and
+        cuts a node whose uncovered target elements outnumber the
+        'singleton' steps left.  Once ``cover`` holds, ``covered`` is the
+        whole target after the last 'subset' step, so ``cover`` implies
+        ``surjective``.  When every step is a 'subset' step the two accept
+        the same leaves, so ``cover`` finds the same hits in the same order,
+        from far fewer nodes.  An ``injective`` search drops ``covered`` from the
+        allowed mask of each 'singleton' step, so no two singleton images
+        meet.  Full maps need no rule of their own:
         ``structures.find_morphism`` runs them as homomorphisms between the
         structures extended by each symbol's complement.
 
@@ -483,18 +495,17 @@ class _ImageSearch:
         only those are tried there.
         """
         images = [0] * self.n
-        found: list[HyperMap] = []
+        found: list[tuple[int, ...]] = []
 
         def rec(step: int, covered: int) -> Optional[HyperMap]:
             if (surjective and step >= subset_steps
                     and (self.full & ~covered).bit_count() > self.n - step):
                 return None
             if step == self.n:
-                hit = HyperMap(self.n, self.m, tuple(images))
                 if collect:
-                    found.append(hit)
+                    found.append(tuple(images))
                     return None
-                return hit
+                return HyperMap(self.n, self.m, tuple(images))
             e = self.order[step]
             allowed = self.allowed(step, images)
             if not allowed:
@@ -545,17 +556,20 @@ DEFAULT_ENUMERATION_BOUND = 6
 def enumerate_she(structure: "Structure", force: bool = False) -> DSM:
     """All surjective hyper-endomorphisms of a structure, as a DSM.
 
-    Backtracking over per-element image masks with forward checking.  The
-    domain bound ``DEFAULT_ENUMERATION_BOUND`` guards against the
-    exponential blowup on weakly constrained structures; pass ``force`` to
-    exceed it at your own risk.
+    One collect-all run of ``_ImageSearch`` with subset images on every
+    element, cut by ``cover``: a node whose images can no longer cover the
+    domain is dropped before its subtree is walked.  The image tuples are
+    sorted before any ``HyperMap`` is built.  The domain bound
+    ``DEFAULT_ENUMERATION_BOUND`` guards against the exponential blowup on
+    weakly constrained structures; pass ``force`` to exceed it at your own
+    risk.
     """
     n = structure.size
     if n > DEFAULT_ENUMERATION_BOUND and not force:
         raise BudgetExceededError(
             f"domain size {n} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
     search = _ImageSearch(structure, structure, _degree_descending(structure))
-    return _dsm_from_set(n, search.run(n, collect=True, surjective=True))
+    return _dsm_from_set(n, search.run(n, collect=True, cover=True))
 
 
 # -- profile-directed existence searches --------------------------------------

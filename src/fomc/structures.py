@@ -7,16 +7,19 @@ induced substructures, the interchangeability quotient, witness searches for
 the five morphism kinds, isomorphism and Boolean closure tests.
 
 Every morphism and isomorphism search is one run of the shop-search engine
-``shops._ImageSearch``, through ``_first_hit``.  Surjective kinds demand at
-the leaf that the images cover the target, and cut a branch once the
-uncovered target elements outnumber the source elements left to assign;
-injective kinds drop the images assigned so far from each singleton step's
-candidates; full kinds search between the two structures extended by each
-symbol's complement, since a map is full exactly when it is also a
-homomorphism between the complements.  A search may restrict the images of
-each element to a mask: isomorphism sends each element only to target
-elements of equal occurrence profile, and ``cores.classical_core`` keeps an
-endomorphism's images inside a candidate core.
+``shops._ImageSearch``, through ``_first_hit``.  ``surjectiveHyper`` takes
+subset images and demands surjectivity by the engine's ``cover`` cut, which
+drops a branch once its images can no longer cover the target;
+``fullSurjective`` takes singletons, demands at the leaf that the images
+cover the target, and cuts a branch once the uncovered target elements
+outnumber the source elements left to assign; injective kinds drop the images
+assigned so far from each singleton step's candidates; full kinds search
+between the two structures extended by each symbol's complement, since a map
+is full exactly when it is also a homomorphism between the complements.  A
+search may restrict the images of each element to a mask: isomorphism sends
+each element only to target elements of equal occurrence profile, and
+``cores.classical_core`` keeps an endomorphism's images inside a candidate
+core.
 """
 
 from __future__ import annotations
@@ -237,9 +240,12 @@ def find_morphism(source: Structure, target: Structure, kind: str):
     constraint degree, values ascending, so the witness is the first hit in
     that order.  Function kinds take singleton images; ``injective`` keeps
     them pairwise distinct; ``fullSurjective`` and ``surjectiveHyper`` demand
-    that the images cover the target.  A map is full exactly when it is also
-    a homomorphism between the complements, so the full kinds search between
-    the structures extended by each symbol's complement.
+    that the images cover the target, the first by the engine's
+    ``surjective`` rule for singleton searches, the second by its ``cover``
+    rule for subset searches, which finds the same first hit.  A map is full
+    exactly when it is also a homomorphism between the complements, so the
+    full kinds search between the structures extended by each symbol's
+    complement.
     """
     if source.signature != target.signature:
         raise SignatureMismatchError("morphism search needs a shared signature")
@@ -249,24 +255,27 @@ def find_morphism(source: Structure, target: Structure, kind: str):
         return None
     if kind == "fullSurjective" and target.size > source.size:
         return None
-    hit = _first_hit(source, target, source.size if kind == "surjectiveHyper" else 0,
-                     surjective=kind in ("fullSurjective", "surjectiveHyper"),
+    hyper = kind == "surjectiveHyper"
+    hit = _first_hit(source, target, source.size if hyper else 0, cover=hyper,
+                     surjective=kind == "fullSurjective",
                      injective=kind == "injective", full=kind in ("full", "fullSurjective"))
-    return hit if kind == "surjectiveHyper" else _as_function(hit)
+    return hit if hyper else _as_function(hit)
 
 
 def _first_hit(source: Structure, target: Structure, subset_steps: int = 0,
-               surjective: bool = False, injective: bool = False, full: bool = False,
+               cover: bool = False, surjective: bool = False, injective: bool = False,
+               full: bool = False,
                masks: Optional[Sequence[int]] = None) -> Optional[HyperMap]:
     """The engine's first hit, source elements in descending degree order,
     the first ``subset_steps`` of them with subset images and the rest with
     singletons, each source element ``a`` mapping into ``masks[a]`` when
-    given."""
+    given; ``cover`` and ``surjective`` are ``_ImageSearch.run``'s
+    surjectivity rules."""
     order = _degree_descending(source)
     if full:
         source, target = _with_complements(source), _with_complements(target)
     return _ImageSearch(source, target, order, masks).run(
-        subset_steps, surjective=surjective, injective=injective)
+        subset_steps, cover=cover, surjective=surjective, injective=injective)
 
 
 def _as_function(hit: Optional[HyperMap]) -> Optional[tuple[int, ...]]:

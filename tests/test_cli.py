@@ -353,6 +353,22 @@ class TestConsoleScript:
                                "--n", "1"], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == "1"
 
+    def test_closed_stdout_exits_2_with_one_line(self, tmp_path):
+        # every shop of an empty 4-element structure: 1.5 MB, far more
+        # than a pipe holds, so the reader closes it mid-write
+        path = tmp_path / "empty4.fms"
+        path.write_text("structure empty4\ndomain 4\nrelation E/2\nend\n")
+        with subprocess.Popen(
+                [sys.executable, "-m", "fomc.cli", "shops", "--structure", str(path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(20)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert head == b"0->{0};1->{0};2->{0}"
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_outputs_are_deterministic(self, tmp_path):
         path = tmp_path / "k2.fms"
         path.write_text(render_structure(clique(2)))

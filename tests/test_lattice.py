@@ -8,7 +8,7 @@ from fomc import (BudgetExceededError, all_shops, dsm_complexity_tag,
                   shop_from_sets)
 from fomc.gadgets import vertex_gadget_generator
 from fomc.lattice import _GroundTables
-from fomc.shops import compose
+from fomc.shops import compose, sub_shops
 
 
 def surjective_count(n: int) -> int:
@@ -122,6 +122,14 @@ class TestClosureOperator:
 
 
 class TestGroundTables:
+    def test_sub_masks_match_sub_shops(self):
+        # oracle: each ground shop's sub-shops, listed one by one
+        for n in (1, 2, 3):
+            tables = _GroundTables(n)
+            expected = [sum(1 << tables.index[s.images] for s in sub_shops(f))
+                        for f in tables.ground]
+            assert tables.sub == expected
+
     def test_rows_match_compose(self):
         tables = _GroundTables(3)
         ground = tables.ground
@@ -139,7 +147,8 @@ class TestGroundTables:
             mask = sum(1 << i for i in picks)
             closed = tables.closure(mask)
             gens = [tables.ground[i] for i in picks]
-            assert tables.to_dsm(closed).as_set() == generate_dsm(gens, 3).as_set()
+            # both list their shops in canonical order
+            assert tables.to_dsm(closed).shops == generate_dsm(gens, 3).shops
 
 
 class TestExport:

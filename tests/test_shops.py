@@ -9,10 +9,11 @@ from fomc import (BudgetExceededError, FomcError, Signature, Structure, check_3_
                   enumerate_she, exists_shop, generate_dsm, identity_shop,
                   inverse, is_sub_shop, parse_shop, preserves, render_shop,
                   shop_from_sets)
+from fomc.gadgets import pspace_gadget
 from fomc.lattice import all_shops
 from fomc.shops import (HyperMap, _degree_descending, _ImageSearch, _links, _mask_tables,
                         canonical_shop, shop_exists, sub_shops)
-from fomc.structures import GRAPH_SIGNATURE
+from fomc.structures import GRAPH_SIGNATURE, find_morphism
 
 from conftest import all_binary_structures, random_structure
 
@@ -428,17 +429,71 @@ class TestSampledMonoidLaws:
                 assert compose(compose(h, g), f) == compose(h, compose(g, f))
 
 
+UNARY_BINARY = Signature.make(("E", 2), ("P", 1))
+TERNARY = Signature.make(("R", 3))
+
+
 class TestEnumerationOracle:
     def test_enumeration_matches_filtering_all_shops(self):
         # independent oracle: materialise every shop and filter by the plain
-        # preservation predicate
+        # preservation predicate; all_shops is in canonical order, so the
+        # DSM must list the same shops in the same order
         rng = random.Random(33)
         structures = [random_structure(rng, 2) for _ in range(10)]
         structures += [random_structure(rng, 3) for _ in range(10)]
         structures += [random_structure(rng, 4, density=0.6) for _ in range(3)]
+        # the empty structure keeps every shop
+        structures.append(Structure.make(GRAPH_SIGNATURE, 4, {"E": set()}))
+        for n in (1, 2, 3):
+            for density in (0.2, 0.5):
+                structures.append(random_structure(rng, n, UNARY_BINARY, density))
+            structures.append(random_structure(rng, n, TERNARY, 0.1))
+        structures += [random_structure(rng, 4, GRAPH_SIGNATURE, 0.15),
+                       random_structure(rng, 4, UNARY_BINARY, 0.15),
+                       random_structure(rng, 4, TERNARY, 0.02)]
+        ground = {n: all_shops(n) for n in range(1, 5)}
         for s in structures:
-            brute = {f for f in all_shops(s.size) if preserves(f, s)}
-            assert enumerate_she(s).as_set() == brute
+            brute = tuple(f for f in ground[s.size] if preserves(f, s))
+            assert enumerate_she(s).shops == brute, s
+
+
+def leaf_check_she(s):
+    """The slow oracle of ``enumerate_she``: the collect-all search that
+    tests surjectivity only at the leaves, its image tuples sorted."""
+    search = _ImageSearch(s, s, _degree_descending(s))
+    return sorted(set(search.run(s.size, collect=True, surjective=True)))
+
+
+class TestCoverCut:
+    """``enumerate_she`` and ``surjectiveHyper`` demand surjectivity by the
+    engine's ``cover`` cut; the leaf-check search is their oracle here, and
+    brute force over ``all_shops`` in ``TestEnumerationOracle``."""
+
+    def test_she_matches_leaf_check_at_five_and_six(self):
+        rng = random.Random(5)
+        corpus = [pspace_gadget(3, 3, 0, 3),
+                  random_structure(rng, 6, GRAPH_SIGNATURE, 0.8),
+                  random_structure(rng, 5, GRAPH_SIGNATURE, 0.1),
+                  random_structure(rng, 5, UNARY_BINARY, 0.12),
+                  random_structure(rng, 5, TERNARY, 0.02)]
+        counts = []
+        for s in corpus:
+            she = enumerate_she(s)
+            assert [f.images for f in she] == leaf_check_she(s), s
+            counts.append(len(she))
+        assert counts[0] == 43136 and max(counts[2:]) > 10
+
+    def test_surjective_hyper_first_witness_matches_leaf_check(self):
+        rng = random.Random(41)
+        outcomes = Counter()
+        for _ in range(60):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            a = random_structure(rng, n, density=rng.choice((0.1, 0.3, 0.5)))
+            b = random_structure(rng, m, density=rng.choice((0.3, 0.6, 0.9)))
+            oracle = _ImageSearch(a, b, _degree_descending(a)).run(n, surjective=True)
+            assert find_morphism(a, b, "surjectiveHyper") == oracle, (a, b)
+            outcomes[oracle is not None] += 1
+        assert min(outcomes[True], outcomes[False]) >= 10
 
 
 class TestPermutedFormWithOverlap:
