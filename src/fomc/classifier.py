@@ -76,10 +76,6 @@ class Verdict:
                 "evidence": self.evidence}
 
 
-def _shop_text(f: Optional[HyperMap]) -> Optional[str]:
-    return render_shop(f) if f is not None else None
-
-
 def find_a_shop(structure: Structure) -> Optional[tuple[int, HyperMap]]:
     """First element u (ascending) admitting a preserving shop with f(u) = D."""
     for u in range(structure.size):
@@ -98,38 +94,46 @@ def find_e_shop(structure: Structure) -> Optional[tuple[int, HyperMap]]:
     return None
 
 
+def pos_eqfree_class(a: bool, e: bool) -> str:
+    """The tetrachotomy: L with an A-shop and an E-shop, NP-complete with an
+    A-shop only, coNP-complete with an E-shop only, Pspace-complete with
+    neither."""
+    if a:
+        return "InL" if e else "NPComplete"
+    return "CoNPComplete" if e else "PspaceComplete"
+
+
 def classify_pos_eqfree(structure: Structure) -> Verdict:
     """The four-way classification: L / NP-complete / coNP-complete /
-    Pspace-complete.
+    Pspace-complete, read off the first A-shop and the first E-shop.
 
-    Fast path first: a single preserving {u}-{x}-shop candidate per pair
-    (u, x) decides the L case exactly, because any structure with both an
-    A-shop and an E-shop has such a shop as a sub-shop of their composition.
+    In L the evidence is the {u}-{x}-shop candidate (u to D, every other
+    element to {x}) at the first A-shop element u and E-shop element x.  It
+    preserves iff u has an A-shop and x an E-shop.  It is itself both; and
+    with f an A-shop at u and g an E-shop at x, g∘f sends u to g(D) = D and
+    every other element to a set holding x, so the candidate is a sub-shop
+    of g∘f, and compositions and sub-shops of preserving shops preserve.  So
+    (u, x) is also the first preserving candidate in (u, x) order.
     """
-    n = structure.size
-    for u in range(n):
-        for x in range(n):
-            witness = exists_shop(structure, "singletonUX", u, x)
-            if witness is not None:
-                return Verdict("InL", {
-                    "uxShop": render_shop(witness), "u": u, "x": x})
     a_hit = find_a_shop(structure)
     e_hit = find_e_shop(structure)
+    klass = pos_eqfree_class(a_hit is not None, e_hit is not None)
+    if klass == "InL":
+        u, x = a_hit[0], e_hit[0]
+        witness = exists_shop(structure, "singletonUX", u, x)
+        return Verdict(klass, {"uxShop": render_shop(witness), "u": u, "x": x})
     evidence = {
-        "aShop": _shop_text(a_hit[1]) if a_hit else None,
+        "aShop": render_shop(a_hit[1]) if a_hit else None,
         "aElement": a_hit[0] if a_hit else None,
-        "eShop": _shop_text(e_hit[1]) if e_hit else None,
+        "eShop": render_shop(e_hit[1]) if e_hit else None,
         "eElement": e_hit[0] if e_hit else None,
         "singletonSweep": "exhausted",
     }
-    if a_hit:
-        evidence["eSweep"] = "exhausted"
-        return Verdict("NPComplete", evidence)
-    if e_hit:
+    if not a_hit:
         evidence["aSweep"] = "exhausted"
-        return Verdict("CoNPComplete", evidence)
-    evidence["aSweep"] = evidence["eSweep"] = "exhausted"
-    return Verdict("PspaceComplete", evidence)
+    if not e_hit:
+        evidence["eSweep"] = "exhausted"
+    return Verdict(klass, evidence)
 
 
 def boolean_schaefer(structure: Structure, quantified: bool) -> tuple[list[str], Verdict]:

@@ -334,8 +334,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        print("error: input nested too deeply (recursion limit exceeded)",
-              file=sys.stderr)
+        print("error: recursion limit exceeded", file=sys.stderr)
         return EXIT_BUDGET
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

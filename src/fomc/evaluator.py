@@ -460,6 +460,8 @@ def sample_sentence(signature, rng: random.Random,
                     config: SamplerConfig | None = None) -> Formula:
     """One pseudorandom sentence; deterministic for a fixed seed and config."""
     cfg = config or SamplerConfig()
+    if not signature.symbols:
+        raise FomcError("cannot sample sentences over an empty signature")
     max_arity = max(arity for _, arity in signature.symbols)
 
     def atom(scope: list[str]) -> Formula:

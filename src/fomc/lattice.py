@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .classifier import pos_eqfree_class
 from .errors import BudgetExceededError, FomcError
 from .shops import (DSM, HyperMap, bits, identity_shop, render_shop, sub_shops,
                     union_table)
@@ -62,15 +63,8 @@ def contains_e_shop(dsm: Iterable[HyperMap], n: int) -> bool:
 
 def dsm_complexity_tag(dsm: DSM) -> str:
     """The four-way complexity tag, read at the monoid level."""
-    a = contains_a_shop(dsm, dsm.size)
-    e = contains_e_shop(dsm, dsm.size)
-    if a and e:
-        return "InL"
-    if a:
-        return "NPComplete"
-    if e:
-        return "CoNPComplete"
-    return "PspaceComplete"
+    return pos_eqfree_class(contains_a_shop(dsm, dsm.size),
+                            contains_e_shop(dsm, dsm.size))
 
 
 @dataclass

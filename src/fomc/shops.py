@@ -393,13 +393,13 @@ class _ImageSearch:
     """Forward-checked backtracking over per-element image masks.
 
     Elements are assigned in a fixed order.  Before branching on an element,
-    every binary tuple linking it to already-assigned elements is folded into
-    an allowed mask, so only submasks of that mask are tried; loops and
-    higher-arity tuples are verified per candidate once their last coordinate
-    is assigned.  The tables behind these steps are built once per
-    (source, target) pair by ``_links``; a search only files each binary
-    link under the later of its two elements and each higher-arity tuple
-    under its last one.
+    every binary tuple linking it to another element is folded into an
+    allowed mask, so only submasks of that mask are tried; an element not yet
+    assigned has image 0 and adds no constraint.  Loops and higher-arity
+    tuples are verified per candidate once their last coordinate is
+    assigned.  The tables behind these steps are built once per
+    (source, target) pair by ``_links``; a search only files each
+    higher-arity tuple under its last element.
     """
 
     def __init__(self, source: "Structure", target: "Structure",
@@ -416,8 +416,7 @@ class _ImageSearch:
         # ``masks[a]``: the target elements ``a`` may map into at all
         self.unary_masks = (unary if masks is None
                             else tuple(m & u for m, u in zip(masks, unary)))
-        self.pre = [[link for link in links[a] if position[link[1]] < step]
-                    for step, a in enumerate(self.order)]
+        self.links = [links[a] for a in self.order]
         self.loops = [loops[a] for a in self.order]
         self.general: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in self.order]
         for name, t in general:
@@ -425,7 +424,7 @@ class _ImageSearch:
 
     def allowed(self, step: int, images: list[int]) -> int:
         allowed = self.unary_masks[self.order[step]]
-        for masks, other in self.pre[step]:
+        for masks, other in self.links[step]:
             for y in bits(images[other]):
                 allowed &= masks[y]
                 if not allowed:

@@ -1,13 +1,15 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from fomc import (FomcError, Structure, boolean_schaefer, classify_fragment,
+from fomc import (FomcError, Structure, all_shops, boolean_schaefer, classify_fragment,
                   classify_pos_eqfree, preserves, ux_core)
-from fomc.classifier import FRAGMENT_KEYS
+from fomc.classifier import FRAGMENT_KEYS, Verdict, find_a_shop, find_e_shop
 from fomc.gadgets import clique
-from fomc.shops import parse_shop
-from fomc.structures import GRAPH_SIGNATURE
+from fomc.shops import HyperMap, exists_shop, parse_shop, render_shop
+from fomc.structures import GRAPH_SIGNATURE, Signature
 
 from conftest import all_binary_structures, random_structure
 
@@ -62,6 +64,75 @@ class TestFourWayClassification:
         else:
             expected = "PspaceComplete"
         assert verdict == expected
+
+
+def sweep_classify(structure):
+    """Oracle for ``classify_pos_eqfree``: every {u}-{x} candidate in (u, x)
+    order decides L, and only then are the A- and E-shop searches run."""
+    n = structure.size
+    for u in range(n):
+        for x in range(n):
+            witness = exists_shop(structure, "singletonUX", u, x)
+            if witness is not None:
+                return Verdict("InL", {"uxShop": render_shop(witness), "u": u, "x": x})
+    a_hit = find_a_shop(structure)
+    e_hit = find_e_shop(structure)
+    evidence = {
+        "aShop": render_shop(a_hit[1]) if a_hit else None,
+        "aElement": a_hit[0] if a_hit else None,
+        "eShop": render_shop(e_hit[1]) if e_hit else None,
+        "eElement": e_hit[0] if e_hit else None,
+        "singletonSweep": "exhausted",
+    }
+    if a_hit:
+        evidence["eSweep"] = "exhausted"
+        return Verdict("NPComplete", evidence)
+    if e_hit:
+        evidence["aSweep"] = "exhausted"
+        return Verdict("CoNPComplete", evidence)
+    evidence["aSweep"] = evidence["eSweep"] = "exhausted"
+    return Verdict("PspaceComplete", evidence)
+
+
+class TestSweepOracle:
+    SIGNATURES = (
+        (GRAPH_SIGNATURE, range(1, 7)),
+        (Signature.make(("P", 1), ("E", 2)), range(1, 7)),
+        (Signature.make(("R", 3)), range(1, 5)),
+    )
+
+    def test_matches_singleton_sweep(self):
+        rng = random.Random(1401)
+        labels = Counter()
+        for signature, sizes in self.SIGNATURES:
+            for n in sizes:
+                for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    for _ in range(40):
+                        s = random_structure(rng, n, signature, density)
+                        got = json.dumps(classify_pos_eqfree(s).to_json())
+                        expected = sweep_classify(s)
+                        assert got == json.dumps(expected.to_json()), s
+                        labels[expected.klass] += 1
+        assert sum(labels.values()) >= 3000
+        assert set(labels) == {"InL", "NPComplete", "CoNPComplete", "PspaceComplete"}
+
+    def test_singleton_candidate_lemma(self):
+        # the {u}-{x} candidate preserves iff u has an A-shop and x an E-shop,
+        # by brute force over every shop
+        for n in (1, 2, 3):
+            full = (1 << n) - 1
+            shops = all_shops(n)
+            for s in all_binary_structures(n):
+                preserving = [f for f in shops if preserves(f, s)]
+                a = {u for u in range(n)
+                     if any(f.images[u] == full for f in preserving)}
+                e = {x for x in range(n)
+                     if any(all(m >> x & 1 for m in f.images) for f in preserving)}
+                for u in range(n):
+                    for x in range(n):
+                        candidate = HyperMap(n, n, tuple(
+                            full if z == u else 1 << x for z in range(n)))
+                        assert preserves(candidate, s) == (u in a and x in e), (s, u, x)
 
 
 class TestSchaefer:

@@ -94,6 +94,19 @@ class TestEval:
         assert code == 2 and out == ""
         assert err == f"error: need at least one sample, got {samples}\n"
 
+    def test_check_relativisation_over_empty_signature_exits_2(self, tmp_path):
+        structure = tmp_path / "bare.fms"
+        structure.write_text("structure bare\ndomain 2\nend\n")
+        sentence = tmp_path / "top.fml"
+        sentence.write_text("true\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fomc.cli", "eval", "--structure", str(structure),
+             "--sentence", str(sentence), "--check-relativisation", "U=0", "X=1",
+             "--seed", "1"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: cannot sample sentences over an empty signature\n"
+
     def test_missing_file(self, capsys, sentence_file):
         code, _, err = run_cli(capsys, "eval", "--structure", "/nope.fms",
                                "--sentence", sentence_file)
@@ -195,6 +208,18 @@ class TestClassify:
         assert proc.returncode == 0, proc.stderr
         assert validate(proc.stdout, "verdict.schema.json")["class"] == "NP-complete"
         assert elapsed < 5.0
+
+    def test_recursion_limit_on_flat_domain_exits_3(self, tmp_path):
+        # the engine recurses once per element, so a flat 1,200-element
+        # structure reaches the interpreter's recursion limit
+        path = tmp_path / "wide.fms"
+        path.write_text("structure wide\ndomain 1200\nrelation E/2\n0 1\nend\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fomc.cli", "classify", "--structure", str(path),
+             "--fragment", "pos-eqfree"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: recursion limit exceeded\n"
 
     def test_dual_on_huge_domain_exits_3(self, tmp_path):
         # the complement of a 2e9-element ternary relation cannot be built;

@@ -188,7 +188,7 @@ def direct_tables(source, target, order, masks=None):
     tables = _mask_tables(target)
     full = (1 << target.size) - 1
     unary_masks = list(masks) if masks is not None else [full] * source.size
-    pre = [[] for _ in order]
+    links = [[] for _ in order]
     loops = [[] for _ in order]
     general = [[] for _ in order]
     for name, tuples in source.rels:
@@ -201,13 +201,12 @@ def direct_tables(source, target, order, masks=None):
                 a, b = t
                 if a == b:
                     loops[step].append(table[1])
-                elif position[a] < position[b]:
-                    pre[step].append((table[1], a))
                 else:
-                    pre[step].append((table[2], b))
+                    links[position[b]].append((table[1], a))
+                    links[position[a]].append((table[2], b))
             else:
                 general[step].append((name, t))
-    return unary_masks, pre, loops, general
+    return unary_masks, links, loops, general
 
 
 class TestSearchTables:
@@ -226,13 +225,13 @@ class TestSearchTables:
             masks = (None if rng.random() < 0.5
                      else [rng.randint(0, full) for _ in range(source.size)])
             search = _ImageSearch(source, target, order, masks)
-            unary_masks, pre, loops, general = direct_tables(source, target, order, masks)
+            unary_masks, links, loops, general = direct_tables(source, target, order, masks)
             assert list(search.unary_masks) == unary_masks
             for step in range(len(order)):
-                assert Counter(search.pre[step]) == Counter(pre[step])
+                assert Counter(search.links[step]) == Counter(links[step])
                 assert Counter(search.loops[step]) == Counter(loops[step])
                 assert Counter(search.general[step]) == Counter(general[step])
-            cases += source is not target and any(map(len, pre)) and any(map(len, loops))
+            cases += source is not target and any(map(len, links)) and any(map(len, loops))
         assert cases  # some pair with binary links and loops across two structures
 
     def test_cached_tables_are_immutable(self):
