@@ -44,7 +44,7 @@ def classical_core(structure: Structure) -> tuple[Structure, tuple[int, ...]]:
             hit = _first_hit(structure, structure, masks=[mask_of(keep)] * n)
             if hit is not None:
                 core, element_map = induced_substructure(structure, keep)
-                return core, tuple(element_map[m.bit_length() - 1] for m in hit.images)
+                return core, tuple(element_map[m.bit_length() - 1] for m in hit)
     raise FomcError("unreachable: the identity is always a retraction")  # pragma: no cover
 
 

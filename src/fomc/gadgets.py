@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import FomcError
 from .formulas import And, Formula, Or, Quant, Rel, conj, disj, rebuild, walk
 from .shops import HyperMap
-from .structures import GRAPH_SIGNATURE, Signature, Structure
+from .structures import GRAPH_SIGNATURE, Signature, Structure, check_tuple_budget
 
 # the parameter counts each gadget accepts
 GADGET_PARAMS = {"Kn": (1,), "KnReflexive": (1,), "KompleteBipartite": (2,), "BNAE": (0,),
@@ -47,6 +47,14 @@ def _sym(pairs) -> set[tuple[int, int]]:
     return out
 
 
+def _check_blocks(signature: Signature, j: int, k: int) -> None:
+    """Refuse a two-block gadget over ``signature`` whose blocks are empty
+    or whose tuple set could exceed the budget."""
+    if j < 1 or k < 1:
+        raise FomcError("block sizes must be positive")
+    check_tuple_budget("gadget", signature, j + k)
+
+
 def check_gadget_params(name: str, params: tuple[int, ...]) -> None:
     """Raise FomcError unless ``GADGET_PARAMS`` allows this many parameters."""
     if len(params) not in GADGET_PARAMS[name]:
@@ -66,8 +74,7 @@ def make_gadget(spec: GadgetSpec) -> Structure:
         return reflexive_clique(n)
     if name == "KompleteBipartite":
         a, b = p
-        if a < 1 or b < 1:
-            raise FomcError("block sizes must be positive")
+        _check_blocks(GRAPH_SIGNATURE, a, b)
         edges = _sym((x, a + y) for x in range(a) for y in range(b))
         return Structure.make(GRAPH_SIGNATURE, a + b, {"E": edges},
                               f"K_{a}_{b}")
@@ -100,6 +107,7 @@ def make_gadget(spec: GadgetSpec) -> Structure:
 def clique(n: int) -> Structure:
     if n < 1:
         raise FomcError("clique size must be positive")
+    check_tuple_budget("gadget", GRAPH_SIGNATURE, n)
     edges = {(a, b) for a in range(n) for b in range(n) if a != b}
     return Structure.make(GRAPH_SIGNATURE, n, {"E": edges}, f"K{n}")
 
@@ -107,6 +115,7 @@ def clique(n: int) -> Structure:
 def reflexive_clique(n: int) -> Structure:
     if n < 1:
         raise FomcError("clique size must be positive")
+    check_tuple_budget("gadget", GRAPH_SIGNATURE, n)
     edges = {(a, b) for a in range(n) for b in range(n)}
     return Structure.make(GRAPH_SIGNATURE, n, {"E": edges}, f"K{n}ref")
 
@@ -114,8 +123,7 @@ def reflexive_clique(n: int) -> Structure:
 def pspace_gadget(j: int, k: int, u: int, x: int) -> Structure:
     """The two-block graph: U-X bridge at (u, x), reflexive clique on X,
     complete bipartite between the other U and X elements."""
-    if j < 1 or k < 1:
-        raise FomcError("block sizes must be positive")
+    _check_blocks(GRAPH_SIGNATURE, j, k)
     if not (0 <= u < j):
         raise FomcError(f"u must lie in the universal block 0..{j - 1}")
     if not (j <= x < j + k):
@@ -135,8 +143,7 @@ def dhat(j: int, k: int) -> Structure:
     selected by that pair; quadruples headed by two existential elements
     carry every gadget's edges, so all-existential quadruples are all present.
     """
-    if j < 1 or k < 1:
-        raise FomcError("block sizes must be positive")
+    _check_blocks(DHAT_SIGNATURE, j, k)
     U = range(j)
     X = range(j, j + k)
     tuples: set[tuple[int, int, int, int]] = set()
@@ -175,6 +182,7 @@ def vertex_gadget(s: int) -> Structure:
     """
     if s < 1:
         raise FomcError("need at least one vertex element")
+    check_tuple_budget("gadget", GV_SIGNATURE, 4 + s)
     n = 4 + s
     apex = 3
     v = [4 + i for i in range(s)]
@@ -283,6 +291,8 @@ def reduce_qcsp_nae_to_gadget(formula: Formula, target: str = "G22",
         raise FomcError(f"unknown reduction target {target!r}")
     if target == "G22":
         j = k = 2
+    else:
+        _check_blocks(DHAT_SIGNATURE, j, k)
     prefix, matrix = _require_nae_prenex(formula)
     clauses: list[Rel] = []
     for node, _ in walk(matrix):

@@ -10,13 +10,14 @@ shops, DSM closure, the canonical identity-form shop, the 3-permuted form and
 its completion.  Its backtracker, ``_ImageSearch``, also runs every morphism
 and isomorphism search of ``structures``.  The search tables of a pair of
 structures are built once, by the cached ``_links``, and shared by every
-search between them.  Every profile but singletonUX and UX is one run of
-``_one_sided``: ``exists_shop`` returns its first witness in a fixed order;
-``shop_exists`` only decides whether a U-surjective or X-total shop exists,
-by the engine's existence mode, which tries far fewer images.  Every search
-with subset images, ``enumerate_she`` included, demands surjectivity by the
-engine's ``cover`` cut; only the singleton searches of ``structures`` use its
-leaf check ``surjective``.
+search between them.  The engine yields its hits in search order:
+``enumerate_she`` reads them all, every other search takes the first.  Every
+profile but singletonUX and UX is one run of ``_one_sided``: ``exists_shop``
+returns its first witness in a fixed order; ``shop_exists`` only decides
+whether a U-surjective or X-total shop exists, by the engine's existence
+mode, which tries far fewer images.  Every shop search demands surjectivity
+by the engine's ``surjective`` rule, which with subset images cuts a branch
+once its images can no longer cover the domain.
 """
 
 from __future__ import annotations
@@ -405,7 +406,6 @@ class _ImageSearch:
     def __init__(self, source: "Structure", target: "Structure",
                  order: Sequence[int], masks: Optional[Sequence[int]] = None):
         self.n = source.size
-        self.m = target.size
         self.full = (1 << target.size) - 1
         self.order = list(order)
         self.target = target
@@ -445,40 +445,35 @@ class _ImageSearch:
                     return False
         return True
 
-    def run(self, subset_steps: int, collect: bool = False, cover: bool = False,
-            surjective: bool = False, injective: bool = False, exists: bool = False):
-        """Search; the first ``subset_steps`` steps try nonempty subsets as
-        images, the rest singletons.  Returns the first hit as a
-        ``HyperMap``, or with ``collect`` the image tuples of all hits.
+    def hits(self, subset_steps: int, surjective: bool = False, injective: bool = False,
+             exists: bool = False) -> Iterator[tuple[int, ...]]:
+        """Yield the image tuples of the hits in search order; the first
+        ``subset_steps`` steps try nonempty subsets as images, the rest
+        singletons.
 
-        ``covered`` is the union of the images assigned so far.  ``cover``
-        demands that the images of the 'subset' steps, at least one, cover
-        the whole target.  Before each of them, the images still to come
-        can at most cover the union of their allowed masks (computed with
-        unassigned images read as 0, which only loosens them), so a node
-        whose reach misses part of the target is cut.  The last of them
-        tries only the allowed masks that cover the rest of the target, in
-        the same ascending order as the unpruned search, so the first hit
-        does not change.
-
-        ``cover`` is the surjectivity rule of a search with 'subset' steps,
-        ``surjective`` that of a search of singletons only.  A ``surjective``
-        search accepts a leaf only if ``covered`` is the whole target, and
-        cuts a node whose uncovered target elements outnumber the
-        'singleton' steps left.  Once ``cover`` holds, ``covered`` is the
-        whole target after the last 'subset' step, so ``cover`` implies
-        ``surjective``.  When every step is a 'subset' step the two accept
-        the same leaves, so ``cover`` finds the same hits in the same order,
-        from far fewer nodes.  An ``injective`` search drops ``covered`` from the
-        allowed mask of each 'singleton' step, so no two singleton images
-        meet.  Full maps need no rule of their own:
-        ``structures.find_morphism`` runs them as homomorphisms between the
-        structures extended by each symbol's complement.
+        ``covered`` is the union of the images assigned so far.  A
+        ``surjective`` search yields only hits whose images cover the whole
+        target.  With 'subset' steps, at least one, the images of those
+        steps alone must cover it: before each of them, the images still to
+        come can at most cover the union of their allowed masks (computed
+        with unassigned images read as 0, which only loosens them), so a
+        node whose reach misses part of the target is cut, and the last of
+        them tries only the allowed masks that cover the rest of the target,
+        in the same ascending order as the unpruned search.  So the hits are
+        those of the unpruned search whose 'subset' images cover the target,
+        in the same order, from far fewer nodes.  With no 'subset' steps, a
+        node is cut once its uncovered target elements outnumber the steps
+        left, which at a leaf demands that the images cover the target.  An
+        ``injective`` search drops ``covered`` from the allowed mask of each
+        'singleton' step, so no two singleton images meet.  Full maps need no
+        rule of their own: ``structures.find_morphism`` runs them as
+        homomorphisms between the structures extended by each symbol's
+        complement.
 
         ``exists`` asks only whether a hit exists, for a first-hit search
         that accepts a hit by preservation and ``covered`` alone.  It tries
-        only images of a normal form, so it may return another first hit,
-        but returns one exactly when the full search does.  Shrinking an
+        only images of a normal form, so it may yield another first hit,
+        but yields one exactly when the full search does.  Shrinking an
         image keeps every tuple's image product inside its relation, and so
         keeps a hit a hit as long as the images still cover what they did.
         Walk a hit's 'subset' steps in order and let ``covered`` be the union
@@ -488,63 +483,65 @@ class _ImageSearch:
         is a hit.  Shrinking the earlier images only widens ``allowed``, so
         its image at each 'subset' step is a nonempty submask of
         ``allowed & ~covered`` or a singleton of ``allowed & covered``; those
-        are the candidates tried.  Under ``cover`` the last 'subset' step
-        must cover ``need``, the part of the target still uncovered, so the
-        shrunk image is exactly ``need``, or a singleton when ``need`` is 0;
-        only those are tried there.
-        """
-        images = [0] * self.n
-        found: list[tuple[int, ...]] = []
+        are the candidates tried.  In a ``surjective`` search the last
+        'subset' step must cover ``need``, the part of the target still
+        uncovered, so the shrunk image is exactly ``need``, or a singleton
+        when ``need`` is 0; only those are tried there.
 
-        def rec(step: int, covered: int) -> Optional[HyperMap]:
-            if (surjective and step >= subset_steps
-                    and (self.full & ~covered).bit_count() > self.n - step):
-                return None
-            if step == self.n:
-                if collect:
-                    found.append(tuple(images))
-                    return None
-                return HyperMap(self.n, self.m, tuple(images))
-            e = self.order[step]
+        The search walks an explicit stack that holds, per step entered, an
+        iterator over the candidates not yet tried, so its depth is not
+        bounded by the interpreter's recursion limit.
+        """
+        n, last, full, order = self.n, self.n - 1, self.full, self.order
+        count_cut = surjective and not subset_steps
+        images = [0] * n
+        covered = [0] * (n + 1)  # covered[s]: the union of the images before step s
+
+        def candidates(step: int) -> Iterable[int]:
+            """The images to try at ``step``, or () if the node is cut."""
             allowed = self.allowed(step, images)
             if not allowed:
-                return None
-            if cover and step < subset_steps:
-                reach = covered | allowed
+                return ()
+            if step >= subset_steps:
+                if injective:
+                    allowed &= ~covered[step]
+                return iter([1 << b for b in bits(allowed)])
+            need = full & ~covered[step]
+            if surjective:
+                reach = allowed
                 for later in range(step + 1, subset_steps):
                     reach |= self.allowed(later, images)
-                if self.full & ~reach:
-                    return None
-            if cover and step == subset_steps - 1:
-                need = self.full & ~covered
-                if not exists:
-                    candidates = submasks(allowed & ~need, need)
-                elif need:
-                    candidates = [need]
-                else:
-                    candidates = [1 << b for b in bits(allowed)]
-            elif step < subset_steps:
-                if exists:
-                    candidates = itertools.chain(
-                        submasks(allowed & ~covered),
-                        [1 << b for b in bits(allowed & covered)])
-                else:
-                    candidates = submasks(allowed)
-            else:
-                if injective:
-                    allowed &= ~covered
-                candidates = [1 << b for b in bits(allowed)]
-            for cand in candidates:
-                images[e] = cand
-                if self.residual_ok(step, images):
-                    got = rec(step + 1, covered | cand)
-                    if got is not None:
-                        return got
-            images[e] = 0
-            return None
+                if need & ~reach:
+                    return ()
+                if step == subset_steps - 1:
+                    return (iter([need] if need else [1 << b for b in bits(allowed)]) if exists
+                            else submasks(allowed & ~need, need))
+            if exists:
+                return itertools.chain(
+                    submasks(allowed & need), [1 << b for b in bits(allowed & ~need)])
+            return submasks(allowed)
 
-        hit = rec(0, 0)
-        return found if collect else hit
+        stack = [candidates(0)]
+        step = 0
+        while stack:
+            e = order[step]
+            for cand in stack[-1]:
+                images[e] = cand
+                if not self.residual_ok(step, images):
+                    continue
+                covered[step + 1] = covered[step] | cand
+                if count_cut and (full & ~covered[step + 1]).bit_count() > last - step:
+                    continue
+                if step == last:
+                    yield tuple(images)
+                elif child := candidates(step + 1):
+                    stack.append(child)
+                    step += 1
+                    break
+            else:
+                images[e] = 0
+                stack.pop()
+                step -= 1
 
 
 # -- enumeration of shE ------------------------------------------------------
@@ -555,8 +552,8 @@ DEFAULT_ENUMERATION_BOUND = 6
 def enumerate_she(structure: "Structure", force: bool = False) -> DSM:
     """All surjective hyper-endomorphisms of a structure, as a DSM.
 
-    One collect-all run of ``_ImageSearch`` with subset images on every
-    element, cut by ``cover``: a node whose images can no longer cover the
+    Every hit of one ``surjective`` run of ``_ImageSearch`` with subset
+    images on every element: a node whose images can no longer cover the
     domain is dropped before its subtree is walked.  The image tuples are
     sorted before any ``HyperMap`` is built.  The domain bound
     ``DEFAULT_ENUMERATION_BOUND`` guards against the exponential blowup on
@@ -568,7 +565,7 @@ def enumerate_she(structure: "Structure", force: bool = False) -> DSM:
         raise BudgetExceededError(
             f"domain size {n} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
     search = _ImageSearch(structure, structure, _degree_descending(structure))
-    return _dsm_from_set(n, search.run(n, collect=True, cover=True))
+    return _dsm_from_set(n, search.hits(n, surjective=True))
 
 
 # -- profile-directed existence searches --------------------------------------
@@ -626,7 +623,7 @@ def _one_sided(structure: "Structure", profile: str, S: Iterable[int],
                exists: bool = False) -> Optional[HyperMap]:
     """First preserving shop with the U-surjective or X-total ``profile``
     for the set ``S``; with ``exists``, a shop of that kind exactly when
-    there is one (see ``_ImageSearch.run``).
+    there is one (see ``_ImageSearch.hits``).
 
     An X-total shop is the inverse of an X-surjective shop of the
     complement, so both profiles search for an S-surjective shop: subset
@@ -644,8 +641,12 @@ def _one_sided(structure: "Structure", profile: str, S: Iterable[int],
     if profile == "X-total":
         structure = structure.complement()
     order = sorted(S) + [a for a in _degree_descending(structure) if a not in S]
-    w = _ImageSearch(structure, structure, order).run(len(S), cover=True, exists=exists)
-    return inverse(w) if w is not None and profile == "X-total" else w
+    hit = next(_ImageSearch(structure, structure, order).hits(
+        len(S), surjective=True, exists=exists), None)
+    if hit is None:
+        return None
+    w = HyperMap(structure.size, structure.size, hit)
+    return inverse(w) if profile == "X-total" else w
 
 
 def _check_elems(n: int, elems: Iterable[int]):

@@ -6,20 +6,20 @@ computation) builds on the operations here: complement, disjoint union,
 induced substructures, the interchangeability quotient, witness searches for
 the five morphism kinds, isomorphism and Boolean closure tests.
 
-Every morphism and isomorphism search is one run of the shop-search engine
-``shops._ImageSearch``, through ``_first_hit``.  ``surjectiveHyper`` takes
-subset images and demands surjectivity by the engine's ``cover`` cut, which
-drops a branch once its images can no longer cover the target;
-``fullSurjective`` takes singletons, demands at the leaf that the images
-cover the target, and cuts a branch once the uncovered target elements
-outnumber the source elements left to assign; injective kinds drop the images
-assigned so far from each singleton step's candidates; full kinds search
-between the two structures extended by each symbol's complement, since a map
-is full exactly when it is also a homomorphism between the complements.  A
-search may restrict the images of each element to a mask: isomorphism sends
-each element only to target elements of equal occurrence profile, and
-``cores.classical_core`` keeps an endomorphism's images inside a candidate
-core.
+Every morphism and isomorphism search takes the first hit of the shop-search
+engine ``shops._ImageSearch``, through ``_first_hit``.  ``surjectiveHyper``
+and ``fullSurjective`` demand surjectivity by the engine's ``surjective``
+rule: ``surjectiveHyper`` takes subset images and drops a branch once its
+images can no longer cover the target; ``fullSurjective`` takes singletons
+and cuts a branch once the uncovered target elements outnumber the source
+elements left to assign, which at a leaf demands that the images cover the
+target.  Injective kinds drop the images assigned so far from each singleton
+step's candidates; full kinds search between the two structures extended by
+each symbol's complement, since a map is full exactly when it is also a
+homomorphism between the complements.  A search may restrict the images of
+each element to a mask: isomorphism sends each element only to target
+elements of equal occurrence profile, and ``cores.classical_core`` keeps an
+endomorphism's images inside a candidate core.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .shops import HyperMap, _degree_descending, _ImageSearch, _preserves_into
 
 MORPHISM_KINDS = ("homomorphism", "injective", "full", "fullSurjective", "surjectiveHyper")
 
-# the most tuples a complement may hold, about 120 MB of binary tuples
+# the most tuples a complement or a gadget may hold, about 120 MB of binary tuples
 MAX_COMPLEMENT_TUPLES = 10 ** 6
 
 
@@ -137,11 +137,7 @@ class Structure:
 
     @cached_property
     def _complement(self) -> "Structure":
-        count = sum(self.size ** arity for _, arity in self.signature.symbols)
-        if count > MAX_COMPLEMENT_TUPLES:
-            raise BudgetExceededError(
-                f"complement would need up to {count} tuples "
-                f"(limit {MAX_COMPLEMENT_TUPLES})")
+        check_tuple_budget("complement", self.signature, self.size)
         rels = {}
         for sym, arity in self.signature.symbols:
             universe = set(itertools.product(range(self.size), repeat=arity))
@@ -159,6 +155,15 @@ class Structure:
 
     def __str__(self) -> str:
         return render_structure(self)
+
+
+def check_tuple_budget(what: str, signature: Signature, size: int) -> None:
+    """Refuse to build ``what``, a structure over ``signature`` on ``size``
+    elements, if it could hold more than ``MAX_COMPLEMENT_TUPLES`` tuples."""
+    count = sum(size ** arity for _, arity in signature.symbols)
+    if count > MAX_COMPLEMENT_TUPLES:
+        raise BudgetExceededError(
+            f"{what} would need up to {count} tuples (limit {MAX_COMPLEMENT_TUPLES})")
 
 
 def complement(structure: Structure) -> Structure:
@@ -240,12 +245,11 @@ def find_morphism(source: Structure, target: Structure, kind: str):
     constraint degree, values ascending, so the witness is the first hit in
     that order.  Function kinds take singleton images; ``injective`` keeps
     them pairwise distinct; ``fullSurjective`` and ``surjectiveHyper`` demand
-    that the images cover the target, the first by the engine's
-    ``surjective`` rule for singleton searches, the second by its ``cover``
-    rule for subset searches, which finds the same first hit.  A map is full
-    exactly when it is also a homomorphism between the complements, so the
-    full kinds search between the structures extended by each symbol's
-    complement.
+    that the images cover the target, by the engine's ``surjective`` rule,
+    which with subset images finds the first covering hit of the unpruned
+    search.  A map is full exactly when it is also a homomorphism between
+    the complements, so the full kinds search between the structures
+    extended by each symbol's complement.
     """
     if source.signature != target.signature:
         raise SignatureMismatchError("morphism search needs a shared signature")
@@ -256,30 +260,31 @@ def find_morphism(source: Structure, target: Structure, kind: str):
     if kind == "fullSurjective" and target.size > source.size:
         return None
     hyper = kind == "surjectiveHyper"
-    hit = _first_hit(source, target, source.size if hyper else 0, cover=hyper,
-                     surjective=kind == "fullSurjective",
+    hit = _first_hit(source, target, source.size if hyper else 0,
+                     surjective=kind in ("fullSurjective", "surjectiveHyper"),
                      injective=kind == "injective", full=kind in ("full", "fullSurjective"))
-    return hit if hyper else _as_function(hit)
+    if hit is None or not hyper:
+        return _as_function(hit)
+    return HyperMap(source.size, target.size, hit)
 
 
 def _first_hit(source: Structure, target: Structure, subset_steps: int = 0,
-               cover: bool = False, surjective: bool = False, injective: bool = False,
-               full: bool = False,
-               masks: Optional[Sequence[int]] = None) -> Optional[HyperMap]:
-    """The engine's first hit, source elements in descending degree order,
-    the first ``subset_steps`` of them with subset images and the rest with
-    singletons, each source element ``a`` mapping into ``masks[a]`` when
-    given; ``cover`` and ``surjective`` are ``_ImageSearch.run``'s
-    surjectivity rules."""
+               surjective: bool = False, injective: bool = False, full: bool = False,
+               masks: Optional[Sequence[int]] = None) -> Optional[tuple[int, ...]]:
+    """The image tuple of the engine's first hit, or None: source elements
+    in descending degree order, the first ``subset_steps`` of them with
+    subset images and the rest with singletons, each source element ``a``
+    mapping into ``masks[a]`` when given; ``surjective`` and ``injective``
+    are ``_ImageSearch.hits``' rules."""
     order = _degree_descending(source)
     if full:
         source, target = _with_complements(source), _with_complements(target)
-    return _ImageSearch(source, target, order, masks).run(
-        subset_steps, cover=cover, surjective=surjective, injective=injective)
+    return next(_ImageSearch(source, target, order, masks).hits(
+        subset_steps, surjective, injective), None)
 
 
-def _as_function(hit: Optional[HyperMap]) -> Optional[tuple[int, ...]]:
-    return None if hit is None else tuple(m.bit_length() - 1 for m in hit.images)
+def _as_function(hit: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    return None if hit is None else tuple(m.bit_length() - 1 for m in hit)
 
 
 def _with_complements(structure: Structure) -> Structure:

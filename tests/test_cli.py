@@ -209,9 +209,10 @@ class TestClassify:
         assert validate(proc.stdout, "verdict.schema.json")["class"] == "NP-complete"
         assert elapsed < 5.0
 
-    def test_recursion_limit_on_flat_domain_exits_3(self, tmp_path):
-        # the engine recurses once per element, so a flat 1,200-element
-        # structure reaches the interpreter's recursion limit
+    def test_flat_domain_above_complement_cap_exits_3(self, tmp_path):
+        # the engine's depth is not bounded by the recursion limit; a flat
+        # 1,200-element binary structure stops at the complement cap of the
+        # E-shop search instead
         path = tmp_path / "wide.fms"
         path.write_text("structure wide\ndomain 1200\nrelation E/2\n0 1\nend\n")
         proc = subprocess.run(
@@ -219,7 +220,8 @@ class TestClassify:
              "--fragment", "pos-eqfree"],
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr == "error: recursion limit exceeded\n"
+        assert proc.stderr == ("error: complement would need up to 1440000 tuples "
+                               "(limit 1000000)\n")
 
     def test_dual_on_huge_domain_exits_3(self, tmp_path):
         # the complement of a 2e9-element ternary relation cannot be built;
@@ -360,8 +362,10 @@ class TestOtherCommands:
          "block sizes must be positive"),
         (("gadget", "--name", "OneElement", "--params=-3"),
          "OneElement takes 0 (point) or 1 (loop), got -3"),
+        (("reduce", "--target", "dhat", "--params", "0,2"), "block sizes must be positive"),
     ], ids=["dhat-one-param", "dhat-not-integers", "gadget-not-integers",
-            "gadget-param-count", "bipartite-negative-block", "one-element-bad-flag"])
+            "gadget-param-count", "bipartite-negative-block", "one-element-bad-flag",
+            "dhat-empty-block"])
     def test_bad_params_exit_2_with_one_line(self, capsys, tmp_path, argv, message):
         path = tmp_path / "nae.fml"
         path.write_text("exists x. NAE(x,x,x)")
@@ -370,6 +374,18 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gadget", "--name", "Kn", "--params", "1001"),
+        ("reduce", "--target", "dhat", "--params", "16,16"),
+    ], ids=["gadget-clique", "reduce-dhat"])
+    def test_oversized_gadget_exits_3_with_one_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "nae.fml"
+        path.write_text("exists x. NAE(x,x,x)")
+        extra = ("--sentence", str(path)) if argv[0] == "reduce" else ()
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 3 and out == ""
+        assert err.startswith("error: gadget would need up to") and err.count("\n") == 1
 
 
 class TestConsoleScript:

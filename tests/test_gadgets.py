@@ -1,16 +1,18 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from fomc import (FomcError, Structure, classify_pos_eqfree, enumerate_she,
+from fomc import (BudgetExceededError, FomcError, Structure, classify_pos_eqfree, enumerate_she,
                   evaluate, find_morphism, generate_dsm, identity_shop,
                   make_gadget, meta_reduction, parse_formula,
                   reduce_nae_to_k2, reduce_qcsp_nae_to_gadget)
-from fomc.gadgets import (GadgetSpec, clique, vertex_gadget,
+from fomc.gadgets import (DHAT_SIGNATURE, GV_SIGNATURE, GadgetSpec, clique, dhat,
+                          pspace_gadget, reflexive_clique, vertex_gadget,
                           vertex_gadget_generator)
 from fomc.shops import HyperMap, sub_shops
-from fomc.structures import GRAPH_SIGNATURE
+from fomc.structures import GRAPH_SIGNATURE, check_tuple_budget
 
 
 
@@ -64,6 +66,46 @@ class TestConstructors:
     def test_bipartite(self):
         s = make_gadget(GadgetSpec("KompleteBipartite", (1, 2)))
         assert s.relation("E") == sym((0, 1), (0, 2))
+
+
+class TestSizeBudget:
+    """Every sized gadget is refused before its tuple set is built when it
+    could hold more tuples than a complement may."""
+
+    def test_clique_above_the_cap_raises_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError,
+                               match=r"^gadget would need up to 1002001 tuples \(limit 1000000\)$"):
+                make_gadget(GadgetSpec("Kn", (1001,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the million edges would take about 100 MB
+
+    @pytest.mark.parametrize("build", [
+        lambda: reflexive_clique(1001),
+        lambda: make_gadget(GadgetSpec("KompleteBipartite", (500, 501))),
+        lambda: pspace_gadget(500, 501, 0, 500),
+        lambda: dhat(16, 16),
+        lambda: vertex_gadget(995),
+        lambda: reduce_qcsp_nae_to_gadget(parse_formula("exists x. NAE(x,x,x)"), "Dhat", 16, 16),
+    ], ids=["KnReflexive", "KompleteBipartite", "G", "Dhat", "GV", "reduce-dhat"])
+    def test_each_sized_gadget_is_bounded(self, build):
+        with pytest.raises(BudgetExceededError, match="^gadget would need up to"):
+            build()
+
+    @pytest.mark.parametrize("signature,largest", [
+        (GRAPH_SIGNATURE, 1000), (DHAT_SIGNATURE, 31), (GV_SIGNATURE, 4 + 994)])
+    def test_bound_is_the_complement_cap(self, signature, largest):
+        check_tuple_budget("gadget", signature, largest)
+        with pytest.raises(BudgetExceededError):
+            check_tuple_budget("gadget", signature, largest + 1)
+
+    def test_dhat_reduction_rejects_empty_blocks(self):
+        f = parse_formula("exists x. NAE(x,x,x)")
+        with pytest.raises(FomcError, match="^block sizes must be positive$"):
+            reduce_qcsp_nae_to_gadget(f, "Dhat", 0, 2)
 
 
 class TestGadgetAlgebra:

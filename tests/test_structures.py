@@ -147,6 +147,13 @@ class TestFindMorphism:
             assert verify_morphism(a, c, "homomorphism", composed)
             found += 1
 
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # one search step per source element: 3,000 steps, three times the
+        # interpreter's default recursion limit
+        edge = Structure.make(GRAPH_SIGNATURE, 3000, {"E": {(0, 1)}})
+        looped_point = Structure.make(GRAPH_SIGNATURE, 1, {"E": {(0, 0)}})
+        assert find_morphism(edge, looped_point, "homomorphism") == (0,) * 3000
+
     def test_injective_needs_room(self, k2, k1):
         assert find_morphism(k2, k1, "injective") is None
 
