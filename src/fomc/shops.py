@@ -8,9 +8,12 @@ implements composition, inversion, sub-shop tests, preservation against a
 relational structure, exhaustive and profile-directed searches for preserving
 shops, DSM closure, the canonical identity-form shop, the 3-permuted form and
 its completion.  Its backtracker, ``_ImageSearch``, also runs every morphism
-and isomorphism search of ``structures``.  The search tables of a pair of
-structures are built once, by the cached ``_links``, and shared by every
-search between them.  The engine yields its hits in search order:
+and isomorphism search of ``structures``.  The search tables of a
+structure into itself are built once, by ``_links``, kept on the structure
+object and shared by every search on it; each binary symbol of the
+target contributes two memoised meet tables (``_Meet``, kept by
+``_mask_tables``), so a search node folds a linked image into its allowed
+mask with one lookup.  The engine yields its hits in search order:
 ``enumerate_she`` reads them all, every other search takes the first.  Every
 profile but singletonUX and UX is one run of ``_one_sided``: ``exists_shop``
 returns its first witness in a fixed order; ``shop_exists`` only decides
@@ -45,6 +48,15 @@ def bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
+        mask ^= low
+
+
+def singletons(mask: int) -> Iterator[int]:
+    """Yield the singleton submasks of ``mask``, lowest first; lazy, so a
+    caller that stops at the first pays for that one alone."""
+    while mask:
+        low = mask & -mask
+        yield low
         mask ^= low
 
 
@@ -195,12 +207,45 @@ def submasks(mask: int, base: int = 0) -> Iterator[int]:
 
 # -- preservation ------------------------------------------------------------
 
+class _Meet(dict):
+    """``meet[m]``: the AND of ``masks[y]`` over the elements y of the mask
+    ``m``, filled on first lookup and kept; ``meet[0]`` is the full mask.
+
+    For a binary symbol's out-masks, ``meet[f(a)]`` is the set of targets b
+    with (y, b) in the relation for every y in f(a), so one lookup replaces a
+    loop over the bits of f(a).
+    """
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: tuple[int, ...], full: int):
+        super().__init__({0: full})
+        self.masks = masks
+
+    def __missing__(self, mask: int) -> int:
+        # strip low bits down to a known submask, then fill back up: a loop,
+        # so a wide mask does not meet the recursion limit
+        chain = []
+        known = mask
+        while known not in self:
+            chain.append(known)
+            known &= known - 1
+        value = self[known]
+        masks = self.masks
+        for m in reversed(chain):
+            value &= masks[(m & -m).bit_length() - 1]
+            self[m] = value
+        return value
+
+
 @lru_cache(maxsize=512)
 def _mask_tables(structure: "Structure"):
-    """Per-symbol adjacency masks: unary membership masks and, for binary
-    symbols, out- and in-neighbourhood masks per element."""
+    """Per-symbol adjacency tables: unary membership masks and, for binary
+    symbols, the meet tables (``_Meet``) of the out- and in-neighbourhood
+    masks per element."""
     tables = {}
     n = structure.size
+    full = (1 << n) - 1
     for name, tuples in structure.rels:
         arity = structure.signature.arity(name)
         if arity == 1:
@@ -211,7 +256,7 @@ def _mask_tables(structure: "Structure"):
             for a, b in tuples:
                 out[a] |= 1 << b
                 inc[b] |= 1 << a
-            tables[name] = ("binary", tuple(out), tuple(inc))
+            tables[name] = ("binary", _Meet(tuple(out), full), _Meet(tuple(inc), full))
         else:
             tables[name] = ("general", tuples)
     return tables
@@ -242,10 +287,8 @@ def _preserves_into(f: HyperMap, source: "Structure", target: "Structure") -> bo
         elif table[0] == "binary":
             out = table[1]
             for a, b in tuples:
-                fb = images[b]
-                for y in bits(images[a]):
-                    if fb & ~out[y]:
-                        return False
+                if images[b] & ~out[images[a]]:
+                    return False
         else:
             target_tuples = target.relation(name)
             for t in tuples:
@@ -344,8 +387,25 @@ def generate_dsm(generators: Iterable[HyperMap], n: int) -> DSM:
 
 # -- the image-mask search engine ----------------------------------------------
 
-@lru_cache(maxsize=512)
+def _kept(structure: "Structure", key: str, build):
+    """``build(structure)``, computed once per structure object and kept in
+    its ``__dict__``, as ``functools.cached_property`` keeps its values: a
+    lookup neither hashes nor compares structures."""
+    cache = structure.__dict__
+    try:
+        return cache[key]
+    except KeyError:
+        value = cache[key] = build(structure)
+        return value
+
+
 def _degree_descending(structure: "Structure") -> tuple[int, ...]:
+    """The elements by descending number of tuple occurrences, ties by
+    element; kept on the structure."""
+    return _kept(structure, "_degree_descending", _order_by_degree)
+
+
+def _order_by_degree(structure: "Structure") -> tuple[int, ...]:
     degree = [0] * structure.size
     for _, tuples in structure.rels:
         for t in tuples:
@@ -354,23 +414,41 @@ def _degree_descending(structure: "Structure") -> tuple[int, ...]:
     return tuple(sorted(range(structure.size), key=lambda a: (-degree[a], a)))
 
 
-@lru_cache(maxsize=512)
 def _links(source: "Structure", target: "Structure"):
     """The search tables of ``source`` into ``target`` that do not depend on
-    the order of the search: ``(unary, loops, links, general)``.
+    the order of the search: ``(meets, unary, loops, links, general)``.
 
-    Per source element ``e``: ``unary[e]`` is the target mask its unary
-    tuples allow, ``loops[e]`` the out-mask tables of its loops ``(e, e)``,
-    and ``links[e]`` one ``(masks, other)`` pair per binary tuple joining it
-    to another element: the out-masks for a tuple ``(other, e)``, since f(e)
-    lies within ``masks[y]`` for every y in f(other), and the in-masks for a
-    tuple ``(e, other)``.  ``general`` lists the ``(name, tuple)`` pairs of
-    the higher-arity symbols.
+    ``meets`` holds the meet tables (``_Meet``) of the target's binary
+    symbols, out-masks then in-masks per symbol.  Per source element ``e``:
+    ``unary[e]`` is the target mask its unary tuples allow, ``loops[e]``
+    the index in ``meets`` of the out-mask table of each loop ``(e, e)``,
+    and ``links[e]`` one ``(k, other)`` pair per binary tuple joining it to
+    another element, ``meets[k]`` being the out-mask table for a tuple
+    ``(other, e)``, since f(e) lies within ``meets[k][f(other)]``, and the
+    in-mask one for a tuple ``(e, other)``.  The pairs hold indices, not
+    the tables: a tuple of ints is not tracked by the garbage collector,
+    which would otherwise walk the millions of pairs of a large structure
+    at every full collection.  ``general`` lists the ``(name, tuple)``
+    pairs of the higher-arity symbols.
+
+    A structure's tables into itself, which every shop search reads, are
+    built once and kept on it; they hold no reference back to it.  Tables
+    into another structure are built per search, in time linear in the
+    tuples, as comparing the pair with a cached one would take.  The meet
+    tables belong to ``target`` (see ``_mask_tables``) and fill as the
+    searches read them.
     """
+    if source is target:
+        return _kept(source, "_self_links", lambda s: _build_links(s, s))
+    return _build_links(source, target)
+
+
+def _build_links(source: "Structure", target: "Structure"):
     tables = _mask_tables(target)
+    meets: list[_Meet] = []
     unary = [(1 << target.size) - 1] * source.size
-    loops: list[list[tuple[int, ...]]] = [[] for _ in range(source.size)]
-    links: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(source.size)]
+    loops: list[list[int]] = [[] for _ in range(source.size)]
+    links: list[list[tuple[int, int]]] = [[] for _ in range(source.size)]
     general = []
     for name, tuples in source.rels:
         table = tables[name]
@@ -378,15 +456,17 @@ def _links(source: "Structure", target: "Structure"):
             for (a,) in tuples:
                 unary[a] &= table[1]
         elif table[0] == "binary":
+            out = len(meets)
+            meets.extend(table[1:])
             for a, b in tuples:
                 if a == b:
-                    loops[a].append(table[1])
+                    loops[a].append(out)
                 else:
-                    links[b].append((table[1], a))
-                    links[a].append((table[2], b))
+                    links[b].append((out, a))
+                    links[a].append((out + 1, b))
         else:
             general.extend((name, t) for t in tuples)
-    return (tuple(unary), tuple(map(tuple, loops)), tuple(map(tuple, links)),
+    return (tuple(meets), tuple(unary), tuple(map(tuple, loops)), tuple(map(tuple, links)),
             tuple(general))
 
 
@@ -395,12 +475,14 @@ class _ImageSearch:
 
     Elements are assigned in a fixed order.  Before branching on an element,
     every binary tuple linking it to another element is folded into an
-    allowed mask, so only submasks of that mask are tried; an element not yet
-    assigned has image 0 and adds no constraint.  Loops and higher-arity
-    tuples are verified per candidate once their last coordinate is
-    assigned.  The tables behind these steps are built once per
-    (source, target) pair by ``_links``; a search only files each
-    higher-arity tuple under its last element.
+    allowed mask, one meet-table lookup of the other element's image per
+    tuple, so only submasks of that mask are tried; an element not yet
+    assigned has image 0, whose meet is the full mask, and adds no
+    constraint.  Loops and higher-arity tuples are verified per candidate
+    once their last coordinate is assigned, a loop by one lookup of the
+    candidate itself.  The tables behind these steps come from ``_links``,
+    which keeps a structure's tables into itself on the structure; a search
+    only files each higher-arity tuple under its last element.
     """
 
     def __init__(self, source: "Structure", target: "Structure",
@@ -409,7 +491,7 @@ class _ImageSearch:
         self.full = (1 << target.size) - 1
         self.order = list(order)
         self.target = target
-        unary, loops, links, general = _links(source, target)
+        self.meets, unary, loops, links, general = _links(source, target)
         position = [0] * self.n
         for step, a in enumerate(self.order):
             position[a] = step
@@ -424,19 +506,18 @@ class _ImageSearch:
 
     def allowed(self, step: int, images: list[int]) -> int:
         allowed = self.unary_masks[self.order[step]]
-        for masks, other in self.links[step]:
-            for y in bits(images[other]):
-                allowed &= masks[y]
-                if not allowed:
-                    return 0
+        meets = self.meets
+        for k, other in self.links[step]:
+            allowed &= meets[k][images[other]]
+            if not allowed:
+                return 0
         return allowed
 
     def residual_ok(self, step: int, images: list[int]) -> bool:
         cand = images[self.order[step]]
-        for out in self.loops[step]:
-            for y in bits(cand):
-                if cand & ~out[y]:
-                    return False
+        for k in self.loops[step]:
+            if cand & ~self.meets[k][cand]:
+                return False
         for name, t in self.general[step]:
             rel = self.target.relation(name)
             image_lists = [tuple(bits(images[a])) for a in t]
@@ -505,7 +586,7 @@ class _ImageSearch:
             if step >= subset_steps:
                 if injective:
                     allowed &= ~covered[step]
-                return iter([1 << b for b in bits(allowed)])
+                return singletons(allowed)
             need = full & ~covered[step]
             if surjective:
                 reach = allowed
@@ -514,11 +595,11 @@ class _ImageSearch:
                 if need & ~reach:
                     return ()
                 if step == subset_steps - 1:
-                    return (iter([need] if need else [1 << b for b in bits(allowed)]) if exists
+                    return ((iter([need]) if need else singletons(allowed)) if exists
                             else submasks(allowed & ~need, need))
             if exists:
                 return itertools.chain(
-                    submasks(allowed & need), [1 << b for b in bits(allowed & ~need)])
+                    submasks(allowed & need), singletons(allowed & ~need))
             return submasks(allowed)
 
         stack = [candidates(0)]

@@ -99,17 +99,25 @@ class TestClassicalCoreOracle:
         # the corpus must reach proper cores of three or more elements
         assert any(n > c >= 3 for n, c in sizes)
 
-    def test_one_search_table_per_call(self):
+    def test_one_search_table_per_call(self, monkeypatch):
         # a triangle with a pendant path: every candidate of one or two
         # elements fails, and a search into each one's induced
         # substructure would build search tables for it
         edges = {(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)}
         s = Structure.make(GRAPH_SIGNATURE, 6,
                            {"E": edges | {(b, a) for a, b in edges}})
-        before = shops._links.cache_info().misses
+        built = []
+        build = shops._build_links
+
+        def counting(source, target):
+            built.append((source, target))
+            return build(source, target)
+
+        monkeypatch.setattr(shops, "_build_links", counting)
         core, _ = classical_core(s)
         assert core.size == 3
-        assert shops._links.cache_info().misses - before <= 1
+        # the input's own tables, built once and read by every candidate
+        assert len(built) == 1 and built[0][0] is s and built[0][1] is s
 
 
 class TestEqfreeCore:

@@ -1,7 +1,12 @@
 import functools
+import gc
 import itertools
 import operator
+import pickle
 import random
+import subprocess
+import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -14,8 +19,8 @@ from fomc import (BudgetExceededError, FomcError, Signature, Structure, check_3_
 from fomc.gadgets import pspace_gadget
 from fomc.lattice import all_shops
 from fomc.shops import (HyperMap, _degree_descending, _ImageSearch, _links, _mask_tables,
-                        canonical_shop, shop_exists, sub_shops)
-from fomc.structures import GRAPH_SIGNATURE, find_morphism
+                        _Meet, bits, canonical_shop, shop_exists, singletons, sub_shops)
+from fomc.structures import GRAPH_SIGNATURE, MORPHISM_KINDS, find_morphism
 
 from conftest import all_binary_structures, random_structure
 
@@ -185,27 +190,33 @@ class TestExistsShop:
 
 def direct_tables(source, target, order, masks=None):
     """Oracle for ``_ImageSearch``'s set-up: the per-step tables built
-    straight from the tuples, one tuple at a time."""
+    straight from the tuples, one tuple at a time, with each binary
+    symbol's out- and in-neighbourhood masks in place of its meet tables."""
     position = {a: i for i, a in enumerate(order)}
-    tables = _mask_tables(target)
     full = (1 << target.size) - 1
     unary_masks = list(masks) if masks is not None else [full] * source.size
     links = [[] for _ in order]
     loops = [[] for _ in order]
     general = [[] for _ in order]
     for name, tuples in source.rels:
-        table = tables[name]
+        arity = source.signature.arity(name)
+        rel = target.relation(name)
+        if arity == 2:
+            out = tuple(sum(1 << b for b in range(target.size) if (y, b) in rel)
+                        for y in range(target.size))
+            inc = tuple(sum(1 << a for a in range(target.size) if (a, y) in rel)
+                        for y in range(target.size))
         for t in tuples:
             step = max(position[a] for a in t)
-            if table[0] == "unary":
-                unary_masks[t[0]] &= table[1]
-            elif table[0] == "binary":
+            if arity == 1:
+                unary_masks[t[0]] &= sum(1 << y for (y,) in rel)
+            elif arity == 2:
                 a, b = t
                 if a == b:
-                    loops[step].append(table[1])
+                    loops[step].append(out)
                 else:
-                    links[position[b]].append((table[1], a))
-                    links[position[a]].append((table[2], b))
+                    links[position[b]].append((out, a))
+                    links[position[a]].append((inc, b))
             else:
                 general[step].append((name, t))
     return unary_masks, links, loops, general
@@ -230,18 +241,238 @@ class TestSearchTables:
             unary_masks, links, loops, general = direct_tables(source, target, order, masks)
             assert list(search.unary_masks) == unary_masks
             for step in range(len(order)):
-                assert Counter(search.links[step]) == Counter(links[step])
-                assert Counter(search.loops[step]) == Counter(loops[step])
+                # the meet tables are compared through the masks they meet
+                meets = search.meets
+                assert Counter((meets[k].masks, other) for k, other in search.links[step]) \
+                    == Counter(links[step])
+                assert Counter(meets[k].masks for k in search.loops[step]) == Counter(loops[step])
                 assert Counter(search.general[step]) == Counter(general[step])
             cases += source is not target and any(map(len, links)) and any(map(len, loops))
         assert cases  # some pair with binary links and loops across two structures
 
     def test_cached_tables_are_immutable(self):
         s = random_structure(random.Random(92), 4, self.MIXED, 0.5)
-        for table in _links(s, s):
-            assert isinstance(table, tuple)
+        t = random_structure(random.Random(93), 3, self.MIXED, 0.5)
+        for tables in (_links(s, s), _links(s, t)):
+            meets, unary, loops, links, general = tables
+            for table in tables:
+                assert isinstance(table, tuple)
+            for entry in loops + links + general:
+                assert isinstance(entry, tuple)
+            # the meet tables fill as they are read; the masks they meet are fixed
+            assert meets and all(isinstance(meet.masks, tuple) for meet in meets)
+            assert any(loops) and any(links)
         assert isinstance(_degree_descending(s), tuple)
-        assert _links.cache_info().maxsize == _degree_descending.cache_info().maxsize == 512
+
+    def test_tables_are_kept_on_the_structure_object(self, monkeypatch):
+        rng = random.Random(94)
+        s = random_structure(rng, 5, self.MIXED, 0.4)
+        twin = Structure(s.signature, s.size, s.rels)
+        assert _links(s, s) is _links(s, s)
+        assert _links(twin, twin) is not _links(s, s)
+        assert _degree_descending(s) is _degree_descending(s)
+        compared = Counter()
+
+        def counting(name, original):
+            def wrapper(*args):
+                compared[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(Structure, "__eq__", counting("eq", Structure.__eq__))
+        monkeypatch.setattr(Structure, "__hash__", counting("hash", Structure.__hash__))
+        for structure in (s, twin):
+            _links(structure, structure)
+            _degree_descending(structure)
+        assert not compared  # a lookup neither hashes nor compares structures
+
+    def test_link_pairs_are_not_tracked_by_the_collector(self):
+        # a large structure has millions of link pairs; pairs that held the
+        # meet tables themselves would stay tracked, and every full
+        # collection would walk them all
+        s = random_structure(random.Random(96), 30, self.MIXED, 0.3)
+        unary, loops, links = _links(s, s)[1:4]
+        gc.collect()
+        assert not any(gc.is_tracked(pair) for entry in links for pair in entry)
+        assert not any(map(gc.is_tracked, loops + (unary,)))
+
+    def test_tables_hold_no_reference_back(self):
+        s = random_structure(random.Random(95), 4, self.MIXED, 0.5)
+        _links(s, s), _degree_descending(s)
+        gone = weakref.ref(s)
+        _mask_tables.cache_clear()  # its keys are the only other references
+        del s
+        assert gone() is None  # freed by reference counting: no cycle through its tables
+
+    def test_structure_with_kept_tables_pickles(self):
+        s = random_structure(random.Random(97), 4, self.MIXED, 0.3)
+        _links(s, s)
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and "_self_links" in copy.__dict__
+        # the copy's meet tables are new objects and fill from their own masks
+        assert [f.images for f in enumerate_she(copy)] == [f.images for f in enumerate_she(s)]
+        assert any(len(meet) > 1 for meet in copy.__dict__["_self_links"][0])
+
+
+def meet_by_bits(masks, full, m):
+    """The meet of ``masks[y]`` over the bits y of m, one bit at a time."""
+    value = full
+    for y in range(m.bit_length()):
+        if m >> y & 1:
+            value &= masks[y]
+    return value
+
+
+def bit_loop_allowed(self, step, images):
+    """``_ImageSearch.allowed`` as a loop over the bits of each linked
+    image, reading the meet tables' masks only."""
+    allowed = self.unary_masks[self.order[step]]
+    for k, other in self.links[step]:
+        for y in bits(images[other]):
+            allowed &= self.meets[k].masks[y]
+            if not allowed:
+                return 0
+    return allowed
+
+
+def bit_loop_residual_ok(self, step, images):
+    """``_ImageSearch.residual_ok`` with its loop check as a loop over the
+    bits of the candidate."""
+    cand = images[self.order[step]]
+    for k in self.loops[step]:
+        for y in bits(cand):
+            if cand & ~self.meets[k].masks[y]:
+                return False
+    for name, t in self.general[step]:
+        rel = self.target.relation(name)
+        image_lists = [tuple(bits(images[a])) for a in t]
+        for combo in itertools.product(*image_lists):
+            if combo not in rel:
+                return False
+    return True
+
+
+def preserves_by_products(f, structure):
+    """Preservation straight from its definition: every tuple's image
+    product lies inside its relation."""
+    for name, tuples in structure.rels:
+        for t in tuples:
+            images = [tuple(bits(f.images[a])) for a in t]
+            if not set(itertools.product(*images)) <= structure.relation(name):
+                return False
+    return True
+
+
+class TestMeetTables:
+    """The meet tables against the per-bit loops they replace."""
+
+    UNARY_BINARY = Signature.make(("P", 1), ("E", 2))
+    TERNARY = Signature.make(("R", 3))
+
+    def test_meet_matches_per_bit_and(self):
+        rng = random.Random(96)
+        for n in (1, 2, 5, 9, 64, 1200):
+            full = (1 << n) - 1
+            masks = tuple(rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n))
+            meet = _Meet(masks, full)
+            if n <= 9:  # every mask, in an order that fills the memo unevenly
+                probes = list(range(full + 1))
+                rng.shuffle(probes)
+            else:
+                probes = [0, full] + [1 << rng.randrange(n) for _ in range(5)]
+                probes += [rng.getrandbits(n) for _ in range(20)]
+            for m in probes + probes[::-1]:  # the second pass reads the memo
+                assert meet[m] == meet_by_bits(masks, full, m), (n, m)
+        assert meet[0] == full
+
+    def test_wide_mask_fills_without_recursion(self):
+        # a lookup of a 1,200-bit mask fills 1,200 entries, more than the
+        # interpreter's default recursion limit
+        n = 1200
+        full = (1 << n) - 1
+        meet = _Meet(tuple(full ^ (1 << y) for y in range(n)), full)
+        assert meet[full] == 0 and len(meet) == n + 1
+
+    def corpus(self):
+        rng = random.Random(97)
+        structures = []
+        for n in (1, 2, 3, 4, 4, 5):
+            structures.append(random_structure(rng, n, GRAPH_SIGNATURE, 0.15))
+            looped = random_structure(rng, n, GRAPH_SIGNATURE, 0.4)
+            structures.append(Structure.make(GRAPH_SIGNATURE, n, {
+                "E": set(looped.relation("E")) | {(a, a) for a in range(n) if rng.random() < 0.6}}))
+            structures.append(random_structure(rng, n, self.UNARY_BINARY, 0.4))
+            structures.append(random_structure(rng, n, self.TERNARY, 0.1 if n > 3 else 0.3))
+        return structures
+
+    def results(self, structures):
+        out = []
+        for s in structures:
+            out.append([f.images for f in enumerate_she(s)])
+            for e in range(s.size):
+                for profile in ("A-shop", "E-shop"):
+                    out.append(exists_shop(s, profile, e))
+                for x in range(s.size):
+                    out.append(exists_shop(s, "singletonUX", e, x))
+            for S in itertools.chain.from_iterable(
+                    itertools.combinations(range(s.size), k) for k in range(1, s.size + 1)):
+                for profile in ("U-surjective", "X-total"):
+                    out.append(exists_shop(s, profile, S))
+                    out.append(shop_exists(s, profile, S))
+            out.append(exists_shop(s, "UX", frozenset({0}), frozenset({s.size - 1})))
+        # every fourth structure shares a signature: searches between two
+        for source, target in zip(structures, structures[4:]):
+            for kind in MORPHISM_KINDS:
+                out.append(find_morphism(source, target, kind))
+                out.append(find_morphism(target, source, kind))
+        return out
+
+    def test_engine_matches_bit_loops(self, monkeypatch):
+        structures = self.corpus()
+        fast = self.results(structures)
+        monkeypatch.setattr(_ImageSearch, "allowed", bit_loop_allowed)
+        monkeypatch.setattr(_ImageSearch, "residual_ok", bit_loop_residual_ok)
+        slow = self.results(structures)
+        assert fast == slow
+        assert sum(len(r) for r in fast if isinstance(r, list)) > 1000
+        assert sum(isinstance(r, HyperMap) for r in fast) > 100
+
+    def test_preserves_matches_products(self):
+        rng = random.Random(98)
+        outcomes = Counter()
+        for s in self.corpus():
+            full = (1 << s.size) - 1
+            for _ in range(30):
+                f = HyperMap(s.size, s.size, tuple(rng.randint(0, full) for _ in range(s.size)))
+                verdict = preserves(f, s)
+                assert verdict == preserves_by_products(f, s), (s, f)
+                outcomes[verdict] += 1
+        assert min(outcomes.values()) > 50
+
+
+class TestLazySingletons:
+    def test_singletons_are_the_low_bits_in_order(self):
+        rng = random.Random(99)
+        for mask in [0, 1, 0b1011] + [rng.getrandbits(70) for _ in range(20)]:
+            assert list(singletons(mask)) == [1 << b for b in bits(mask)]
+
+    def test_a_shop_on_a_wide_one_edge_graph_is_fast(self):
+        # every singleton step's first candidate succeeds; listing all
+        # 3,000 candidates per step made this search take seconds
+        script = (
+            "import time\n"
+            "from fomc import Structure, exists_shop\n"
+            "from fomc.structures import GRAPH_SIGNATURE\n"
+            "g = Structure.make(GRAPH_SIGNATURE, 3000, {'E': {(0, 1)}})\n"
+            "start = time.perf_counter()\n"
+            "w = exists_shop(g, 'A-shop', 2)\n"
+            "print(time.perf_counter() - start)\n"
+            "print(w.images[2] == (1 << 3000) - 1, w.images[0], w.images[1])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60)
+        elapsed, witness = proc.stdout.splitlines()
+        assert witness == "True 1 2"
+        assert float(elapsed) < 2.0
 
 
 class TestShopExists:
